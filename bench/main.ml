@@ -1155,9 +1155,10 @@ let simperf () =
 (*                                                                     *)
 (* Records a fleet-profile driver run through the wsc_trace pipeline,  *)
 (* then measures what the binary format promises: size per event vs    *)
-(* the text v1 format (the >= 5x compression claim is a hard gate) and *)
-(* streaming decode / re-encode throughput.  The full run records the  *)
-(* numbers in BENCH_tracecodec.json; `--smoke` uses a shorter trace    *)
+(* one text line per event, as `trace dump` prints it (the >= 5x       *)
+(* compression claim is a hard gate) and streaming decode / re-encode  *)
+(* throughput.  The full run records the numbers in                    *)
+(* BENCH_tracecodec.json; `--smoke` uses a shorter trace               *)
 (* and fails on a compression or >30% throughput regression.           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1181,18 +1182,13 @@ let tracecodec () =
       let events = Writer.events_written w in
       Writer.close w;
       let binary_bytes = (Unix.stat bin).Unix.st_size in
-      (* Text v1 size of the same stream, written the same way
-         the text v1 codec does, without materializing it. *)
+      (* Size of the same stream as one text line per event (what `trace
+         dump` prints), streamed without materializing it. *)
       let oc = open_out txt in
       Reader.with_file bin (fun r ->
           Reader.iter r (fun ev ->
-              match ev with
-              | Wsc_workload.Trace.Alloc { id; size; cpu } ->
-                Printf.fprintf oc "a %d %d %d\n" id size cpu
-              | Wsc_workload.Trace.Free { id; cpu } -> Printf.fprintf oc "f %d %d\n" id cpu
-              | Wsc_workload.Trace.Advance { dt_ns } -> Printf.fprintf oc "t %.17g\n" dt_ns
-              | Wsc_workload.Trace.Retire { cpu; flush } ->
-                Printf.fprintf oc "r %d %d\n" cpu (if flush then 1 else 0)));
+              output_string oc (Wsc_workload.Trace.line_of_event ev);
+              output_char oc '\n'));
       close_out oc;
       let text_bytes = (Unix.stat txt).Unix.st_size in
       let ratio = float_of_int text_bytes /. float_of_int binary_bytes in
@@ -1220,7 +1216,7 @@ let tracecodec () =
       in
       Table.add_row t [ "events"; string_of_int events ];
       Table.add_row t [ "binary size"; Units.bytes_to_string binary_bytes ];
-      Table.add_row t [ "text v1 size"; Units.bytes_to_string text_bytes ];
+      Table.add_row t [ "text size"; Units.bytes_to_string text_bytes ];
       Table.add_row t
         [ "bytes/event (binary)";
           f2 ~decimals:2 (float_of_int binary_bytes /. float_of_int events) ];
@@ -1602,8 +1598,9 @@ let fleetcampaign () =
 (* ------------------------------------------------------------------ *)
 (* salvage — storage chaos + degraded-mode recovery.                   *)
 (*                                                                     *)
-(* Writes one trace corpus through the Wsc_os.Storage fault shim at a  *)
-(* sweep of bit-flip rates, then measures what `trace repair` +        *)
+(* Records one trace corpus and re-writes it through the               *)
+(* Wsc_os.Storage fault shim at a sweep of bit-flip rates, then        *)
+(* measures what `trace repair` +                                      *)
 (* `replay --salvage` get back: recovery fraction, loss accounting,    *)
 (* and salvage-scan throughput vs the strict reader (resync overhead). *)
 (* Hard gates (smoke and full): a clean trace round-trips              *)
@@ -1622,7 +1619,7 @@ let salvage () =
   let module Salvage = Wsc_trace.Salvage in
   let module Replay = Wsc_trace.Replay in
   let module Storage = Wsc_os.Storage in
-  let module Event = Wsc_workload.Trace in
+  let module Recorder = Wsc_trace.Recorder in
   let dir = Filename.temp_file "wsc_salvage" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -1642,18 +1639,21 @@ let salvage () =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "salvage: %s\n" m; exit 1) fmt in
-  (* -- Trace corpus, fault-free reference. ------------------------- *)
+  (* -- Trace corpus, fault-free reference: one recorded run. --------- *)
   let duration_ns = (if !smoke then 4.0 else 30.0) *. Units.sec in
-  let emit w =
-    Event.synthesize_into ~seed:11 ~profile:Apps.monarch ~duration_ns (Writer.add w)
-  in
   let clean = path "clean.wtrace" in
   let events =
     let w = Writer.to_file clean in
-    emit w;
+    ignore (Recorder.record_app ~seed:11 ~duration_ns ~writer:w Apps.monarch);
     let n = Writer.events_written w in
     Writer.close w;
     n
+  in
+  (* Every faulted arm re-encodes the clean corpus through its storage
+     shim. *)
+  let emit ~storage dst =
+    Writer.with_file ~storage dst (fun w ->
+        ignore (Reader.with_file clean (fun r -> Reader.copy_into r w)))
   in
   let clean_bytes = (Unix.stat clean).Unix.st_size in
   let repaired_clean = path "clean.repaired" in
@@ -1682,9 +1682,7 @@ let salvage () =
             ()
         in
         let damaged = path (Printf.sprintf "flips-%g.wtrace" rate) in
-        let w = Writer.to_file ~storage:st damaged in
-        emit w;
-        Writer.close w;
+        emit ~storage:st damaged;
         let repaired = path (Printf.sprintf "flips-%g.repaired" rate) in
         let t0 = Unix.gettimeofday () in
         let rep = Salvage.repair ~src:damaged ~dst:repaired () in
@@ -1752,9 +1750,7 @@ let salvage () =
       ()
   in
   let torn = path "torn.wtrace" in
-  let w = Writer.to_file ~storage:crash_st torn in
-  emit w;
-  Writer.close w;
+  emit ~storage:crash_st torn;
   if Storage.torn_writes crash_st + Storage.truncations crash_st = 0 then
     fail "crash arm drew no torn writes or truncations at seed 29";
   let torn_rep = Salvage.scan torn in

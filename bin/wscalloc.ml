@@ -720,7 +720,7 @@ let fleet_cmd =
           and $(b,fleet scrub) audits a campaign resume directory.")
     [ scrub_cmd ]
 
-(* trace record|replay|stat|verify|convert *)
+(* trace record|replay|stat|verify|repair|dump *)
 
 module Writer = Trace_stream.Writer
 module Reader = Trace_stream.Reader
@@ -743,35 +743,18 @@ let out_term =
     & opt (some string) None
     & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Trace file to write.")
 
-let trace_record app duration seed synthesize out =
-  let duration_ns = duration *. Units.sec in
+let trace_record app duration seed out =
   let w = Writer.to_file out in
-  (if synthesize then
-     (* Generator-only stream: the driver's event generator without an
-        allocator behind it (the legacy trace-record behavior), streamed
-        straight into the writer — no in-memory event list. *)
-     Workload.Trace.synthesize_into ~seed ~profile:app ~duration_ns (Writer.add w)
-   else
-     (* Record an actual solo-machine driver run through the probe. *)
-     ignore (Recorder.record_app ~seed ~duration_ns ~writer:w app));
+  ignore (Recorder.record_app ~seed ~duration_ns:(duration *. Units.sec) ~writer:w app);
   let events = Writer.events_written w and blocks = Writer.blocks_written w in
   Writer.close w;
-  Printf.printf "recorded %d events (%s run) from %s into %s (%d blocks)\n" events
-    (if synthesize then "synthesized" else "driver")
+  Printf.printf "recorded %d events (driver run) from %s into %s (%d blocks)\n" events
     app.Profile.name out blocks
 
 let trace_record_cmd =
-  let synthesize =
-    Arg.(
-      value & flag
-      & info [ "synthesize" ]
-          ~doc:
-            "Emit the profile's synthetic event stream instead of recording a real \
-             driver run.")
-  in
   Cmd.v
     (Cmd.info "record" ~doc:"Record an allocation trace from a profile run.")
-    Term.(const trace_record $ app_term $ duration_term $ seed_term $ synthesize $ out_term)
+    Term.(const trace_record $ app_term $ duration_term $ seed_term $ out_term)
 
 let config_list =
   let parse s =
@@ -902,10 +885,8 @@ let trace_verify file salvage =
   end
   else begin
     let s = Reader.verify file in
-    Printf.printf "%s: %s, %d events in %d blocks: %d allocs, %d frees, %d retires, %s simulated, %d live at end\n"
-      file
-      (match s.Reader.summary_format with `Binary -> "binary v2" | `Text_v1 -> "text v1")
-      s.Reader.events s.Reader.blocks s.Reader.allocations s.Reader.frees s.Reader.retires
+    Printf.printf "%s: binary v2, %d events in %d blocks: %d allocs, %d frees, %d retires, %s simulated, %d live at end\n"
+      file s.Reader.events s.Reader.blocks s.Reader.allocations s.Reader.frees s.Reader.retires
       (Units.duration_to_string s.Reader.duration_ns)
       s.Reader.live_at_end;
     Printf.printf "OK\n"
@@ -949,46 +930,27 @@ let trace_repair_cmd =
          byte-identically.")
     Term.(const (fun s d -> corrupt_guard (fun () -> trace_repair s d)) $ src $ dst)
 
-let trace_convert file out to_text =
-  let copied =
-    Reader.with_file file (fun r ->
-        if to_text then begin
-          let oc = open_out out in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc "# wsc-alloc trace v1\n";
-              let n = ref 0 in
-              Reader.iter r (fun ev ->
-                  incr n;
-                  output_string oc (Workload.Trace.line_of_event ev);
-                  output_char oc '\n');
-              !n)
-        end
-        else Writer.with_file out (fun w -> Reader.copy_into r w))
-  in
-  Printf.printf "converted %d events: %s -> %s (%s)\n" copied file out
-    (if to_text then "text v1" else "binary v2")
+let trace_dump file =
+  Reader.with_file file (fun r ->
+      Reader.iter r (fun ev ->
+          print_string (Workload.Trace.line_of_event ev);
+          print_char '\n'))
 
-let trace_convert_cmd =
-  let to_text =
-    Arg.(
-      value & flag
-      & info [ "to-text" ]
-          ~doc:"Convert to the text v1 format instead of binary v2.")
-  in
+let trace_dump_cmd =
   Cmd.v
-    (Cmd.info "convert"
-       ~doc:"Convert between text v1 and binary v2 trace formats, streaming.")
-    Term.(const (fun f o t -> corrupt_guard (fun () -> trace_convert f o t)) $ in_term $ out_term $ to_text)
+    (Cmd.info "dump"
+       ~doc:
+         "Print a trace as one human-readable line per event on stdout: \
+          $(b,a ID SIZE CPU), $(b,f ID CPU), $(b,t DT_NS), $(b,r CPU FLUSH).")
+    Term.(const (fun f -> corrupt_guard (fun () -> trace_dump f)) $ in_term)
 
 let trace_cmd =
   Cmd.group
     (Cmd.info "trace"
-       ~doc:"Record, replay, analyze, convert and repair allocation traces.")
+       ~doc:"Record, replay, analyze, repair and dump allocation traces.")
     [
       trace_record_cmd; trace_replay_cmd; trace_stat_cmd; trace_verify_cmd;
-      trace_convert_cmd; trace_repair_cmd;
+      trace_repair_cmd; trace_dump_cmd;
     ]
 
 (* snapshot info *)
@@ -1222,12 +1184,19 @@ let arena_cmd =
 module Tuner = Tune.Tune
 module Tspace = Tune.Space
 
-let synth_events app duration seed =
-  let acc = ref [] in
-  Workload.Trace.synthesize_into ~seed ~profile:app
-    ~duration_ns:(duration *. Units.sec)
-    (fun ev -> acc := ev :: !acc);
-  Array.of_list (List.rev !acc)
+(* Record [app] into a temporary trace and decode it: the same stream
+   `trace record` writes, so `--app` tunes exactly what `--trace` would on
+   that recording. *)
+let recorded_events app duration seed =
+  let path = Filename.temp_file "wscalloc_tune" ".wtrace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Writer.with_file path (fun w ->
+          ignore
+            (Recorder.record_app ~seed ~duration_ns:(duration *. Units.sec) ~writer:w
+               app));
+      Replay.preload path)
 
 let tune trace_file app duration strategy_name budget batch backend seed jobs
     checkpoint resume stop_after json_out =
@@ -1260,9 +1229,9 @@ let tune trace_file app duration strategy_name budget batch backend seed jobs
       Printf.printf "tuning against trace %s...\n%!" path;
       Replay.preload path
     | None, Some app ->
-      Printf.printf "tuning against a synthesized %.0fs %s stream...\n%!" duration
+      Printf.printf "tuning against a recorded %.0fs %s stream...\n%!" duration
         app.Profile.name;
-      synth_events app duration seed
+      recorded_events app duration seed
     | Some _, Some _ ->
       Printf.eprintf "wscalloc: --trace and --app are mutually exclusive\n";
       exit 124
@@ -1322,8 +1291,8 @@ let tune_cmd =
       & opt (some app_arg) None
       & info [ "app"; "a" ] ~docv:"APP"
           ~doc:
-            "Tune against a synthesized event stream of this profile instead of a \
-             recorded trace ($(b,--duration) seconds).")
+            "Record $(b,--duration) seconds of this profile (seeded by \
+             $(b,--seed)) and tune against that stream instead of a trace file.")
   in
   let strategy =
     Arg.(

@@ -11,17 +11,13 @@ let () =
 let corrupt ~block fmt =
   Printf.ksprintf (fun reason -> raise (Corrupt { block; reason })) fmt
 
-type format = [ `Binary | `Text_v1 ]
-
 type t = {
   ic : in_channel;
-  format : format;
   mutable consumed : bool;
   mutable events_read : int;
   mutable blocks_read : int;
 }
 
-let format t = t.format
 let events_read t = t.events_read
 let blocks_read t = t.blocks_read
 
@@ -32,26 +28,16 @@ let open_file path =
   try
     let file_len = in_channel_length ic in
     let magic_len = String.length Codec.magic in
-    let is_binary =
-      file_len >= magic_len && really_input_string ic magic_len = Codec.magic
-    in
-    let format =
-      if is_binary then begin
-        if file_len < Codec.header_len then
-          corrupt ~block:0 "truncated header (%d bytes)" file_len;
-        let version = input_byte ic in
-        if version <> Codec.version then
-          corrupt ~block:0 "unsupported format version %d (expected %d)" version
-            Codec.version;
-        seek_in ic Codec.header_len;
-        `Binary
-      end
-      else begin
-        seek_in ic 0;
-        `Text_v1
-      end
-    in
-    { ic; format; consumed = false; events_read = 0; blocks_read = 0 }
+    if file_len < magic_len || really_input_string ic magic_len <> Codec.magic then
+      corrupt ~block:0 "not a wscalloc trace (bad magic)";
+    if file_len < Codec.header_len then
+      corrupt ~block:0 "truncated header (%d bytes)" file_len;
+    let version = input_byte ic in
+    if version <> Codec.version then
+      corrupt ~block:0 "unsupported format version %d (expected %d)" version
+        Codec.version;
+    seek_in ic Codec.header_len;
+    { ic; consumed = false; events_read = 0; blocks_read = 0 }
   with e ->
     close_in_noerr ic;
     raise e
@@ -147,49 +133,10 @@ let iter_binary t f =
   in
   loop 0
 
-(* ------------------------------------------------------------------ *)
-(* Text v1 stream: the [Wsc_workload.Trace.line_of_event] line format,  *)
-(* semantically validated (live-id discipline, positive sizes) streamed. *)
-(* ------------------------------------------------------------------ *)
-
-let iter_text t f =
-  let live = Hashtbl.create 1024 in
-  let line_no = ref 0 in
-  let bad fmt =
-    Printf.ksprintf
-      (fun s -> invalid_arg (Printf.sprintf "Wsc_trace.Reader: line %d: %s" !line_no s))
-      fmt
-  in
-  try
-    while true do
-      let line = input_line t.ic in
-      incr line_no;
-      let line = String.trim line in
-      if line <> "" && line.[0] <> '#' then begin
-        let ev = Event.parse_line ~fail:(fun () -> bad "parse error") line in
-        (match ev with
-        | Event.Alloc { id; size; cpu } ->
-          if size <= 0 then bad "alloc size <= 0";
-          if cpu < 0 then bad "negative cpu";
-          if Hashtbl.mem live id then bad "id %d already live" id;
-          Hashtbl.replace live id ()
-        | Event.Free { id; cpu } ->
-          if cpu < 0 then bad "negative cpu";
-          if not (Hashtbl.mem live id) then bad "free of unknown id %d" id;
-          Hashtbl.remove live id
-        | Event.Advance { dt_ns } ->
-          if dt_ns < 0.0 || Float.is_nan dt_ns then bad "negative dt"
-        | Event.Retire { cpu; flush = _ } -> if cpu < 0 then bad "negative cpu");
-        t.events_read <- t.events_read + 1;
-        f ev
-      end
-    done
-  with End_of_file -> ()
-
 let iter t f =
   if t.consumed then invalid_arg "Wsc_trace.Reader.iter: stream already consumed";
   t.consumed <- true;
-  match t.format with `Binary -> iter_binary t f | `Text_v1 -> iter_text t f
+  iter_binary t f
 
 let fold t init f =
   let acc = ref init in
@@ -205,7 +152,6 @@ let copy_into t w =
 (* ------------------------------------------------------------------ *)
 
 type summary = {
-  summary_format : format;
   events : int;
   allocations : int;
   frees : int;
@@ -232,7 +178,6 @@ let verify path =
             duration := !duration +. dt_ns
           | Event.Retire _ -> incr retires);
       {
-        summary_format = t.format;
         events = t.events_read;
         allocations = !allocations;
         frees = !frees;

@@ -1,64 +1,52 @@
-(** Streaming trace source.
-
-    Reads both trace formats, detected from the file's first bytes:
-
-    - {b binary v2} (written by {!Writer}): header + CRC-checked blocks.
-      Any damage — a flipped bit, a truncated tail, a missing end-of-stream
-      marker, garbage past the end — raises {!Corrupt} carrying the index
-      of the offending block.
-    - {b text v1} (the [Wsc_workload.Trace.line_of_event] line format):
-      streamed line by line with full semantic validation (live-id
-      discipline, positive sizes);
-      errors raise [Invalid_argument] with the line number.
-
-    Either way, memory use is one block (or line) plus the live-set index —
+(** Streaming trace source for the binary trace format written by
+    {!Writer}: header + CRC-checked blocks.  Any damage — a missing or
+    wrong magic, a flipped bit, a truncated tail, a missing end-of-stream
+    marker, garbage past the end — raises {!Corrupt} carrying the index of
+    the offending block.  Memory use is one block plus the live-set index,
     independent of trace length. *)
 
 module Event = Wsc_workload.Trace
 
 exception Corrupt of { block : int; reason : string }
-(** A binary trace failed an integrity check.  [block] is the 0-based index
+(** A trace failed an integrity check.  [block] is the 0-based index
     of the block where the damage was detected. *)
 
-type format = [ `Binary | `Text_v1 ]
 type t
 
 val open_file : string -> t
-(** Detect the format and position the stream at the first event.
-    @raise Corrupt if the file has a binary magic but a damaged or
-    unsupported header. *)
+(** Check the header and position the stream at the first event.
+    @raise Corrupt with [block = 0] if the file does not start with the
+    trace magic ([reason = "not a wscalloc trace (bad magic)"]) or has a
+    truncated or unsupported header. *)
 
 val close : t -> unit
 val with_file : string -> (t -> 'a) -> 'a
 
-val format : t -> format
-
 val iter : t -> (Event.event -> unit) -> unit
 (** Stream every event through the callback, in order.  Single-shot: a
     reader can be iterated once.
-    @raise Corrupt (binary) or [Invalid_argument] (text) on damaged input;
-    events already delivered before the damage point stand. *)
+    @raise Corrupt on damaged input; events already delivered before the
+    damage point stand. *)
 
 val fold : t -> 'a -> ('a -> Event.event -> 'a) -> 'a
 
 val copy_into : t -> Writer.t -> int
-(** Stream this reader into a binary writer (format conversion / re-encode);
-    returns the number of events copied.  The caller closes the writer. *)
+(** Stream this reader into a writer (re-encode); returns the number of
+    events copied.  The caller closes the writer. *)
 
 val events_read : t -> int
 val blocks_read : t -> int
-(** Events / binary blocks delivered so far (useful after [iter]). *)
+(** Events / blocks delivered so far (useful after [iter]). *)
 
 (** {1 Verification} *)
 
 type summary = {
-  summary_format : format;
   events : int;
   allocations : int;
   frees : int;
   advances : int;
   retires : int;
-  blocks : int;  (** Binary blocks ([0] for text traces). *)
+  blocks : int;
   live_at_end : int;  (** Objects allocated but never freed. *)
   duration_ns : float;  (** Sum of all [Advance] steps. *)
 }
@@ -66,4 +54,4 @@ type summary = {
 val verify : string -> summary
 (** Fully stream a trace, checking structure, checksums and semantic
     validity, without building anything but counters.
-    @raise Corrupt or [Invalid_argument] as {!iter} does. *)
+    @raise Corrupt as {!iter} does. *)

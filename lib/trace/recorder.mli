@@ -7,9 +7,10 @@
     configuration).  Events stream straight into a {!Writer}; nothing is
     materialized.
 
-    Unlike [Trace.synthesize_into] — which mirrors only the driver's event
-    generator — a recorded run captures whatever actually happened:
-    thread-count dynamics, CPU-churn retirements, fault-driven behavior. *)
+    A recorded run captures whatever actually happened — thread-count
+    dynamics, CPU-churn retirements, fault-driven behavior — and is the
+    one source of trace event streams: every tool that needs a stream for
+    a profile records one with {!record_app}. *)
 
 module Driver = Wsc_workload.Driver
 module Profile = Wsc_workload.Profile

@@ -30,7 +30,6 @@ type damage = {
 type report = {
   path : string;
   input_bytes : int;
-  format : Reader.format;
   blocks_recovered : int;
   events_recovered : int;
   events_dropped : int;
@@ -251,7 +250,6 @@ let scan_binary ~on_event path data ~header_damage =
   {
     path;
     input_bytes = file_len;
-    format = `Binary;
     blocks_recovered = !blocks;
     events_recovered = !events;
     events_dropped = !dropped;
@@ -264,95 +262,25 @@ let scan_binary ~on_event path data ~header_damage =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Text scan: lines are self-synchronizing, so salvage just drops any    *)
-(* line that fails to parse or violates live-id discipline.             *)
-(* ------------------------------------------------------------------ *)
-
-exception Bad_line
-
-let scan_text ~on_event path data =
-  let live = Hashtbl.create 1024 in
-  let events = ref 0 and dropped = ref 0 in
-  let handle line =
-    let line = String.trim line in
-    if line <> "" && line.[0] <> '#' then begin
-      match
-        let ev = Event.parse_line ~fail:(fun () -> raise Bad_line) line in
-        (match ev with
-        | Event.Alloc { id; size; cpu } ->
-          if size <= 0 || cpu < 0 || Hashtbl.mem live id then raise Bad_line;
-          Hashtbl.replace live id ()
-        | Event.Free { id; cpu } ->
-          if cpu < 0 || not (Hashtbl.mem live id) then raise Bad_line;
-          Hashtbl.remove live id
-        | Event.Advance { dt_ns } ->
-          if dt_ns < 0.0 || Float.is_nan dt_ns then raise Bad_line
-        | Event.Retire { cpu; flush = _ } -> if cpu < 0 then raise Bad_line);
-        ev
-      with
-      | ev ->
-        incr events;
-        on_event ev
-      | exception Bad_line -> incr dropped
-    end
-  in
-  String.split_on_char '\n' (Bytes.to_string data) |> List.iter handle;
-  {
-    path;
-    input_bytes = Bytes.length data;
-    format = `Text_v1;
-    blocks_recovered = 0;
-    events_recovered = !events;
-    events_dropped = !dropped;
-    remapped_allocs = 0;
-    events_lost = 0;
-    loss_exact = true;
-    bytes_skipped = 0;
-    damage = [];
-    missing_eos = false;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Format sniffing that survives a damaged header: accept the binary path
-   when at least 6 of the 8 magic bytes match, recording the header bytes
-   as a damaged region when the match is not exact. *)
-let sniff data =
-  let len = Bytes.length data in
-  let magic_len = String.length Codec.magic in
-  if len < magic_len then begin
-    (* Too short to hold the magic.  A torn header write leaves a strict
-       prefix of the magic (possibly empty), which must report as damaged
-       binary — never as a clean zero-event text trace; anything else this
-       short is real text content. *)
-    let is_magic_prefix = ref true in
-    for i = 0 to len - 1 do
-      if Bytes.get data i <> Codec.magic.[i] then is_magic_prefix := false
-    done;
-    if !is_magic_prefix then `Binary_damaged_header else `Text
-  end
-  else begin
-    let matches = ref 0 in
-    for i = 0 to magic_len - 1 do
-      if Bytes.get data i = Codec.magic.[i] then incr matches
-    done;
-    if !matches = magic_len then
-      if len > 8 && Char.code (Bytes.get data 8) = Codec.version then `Binary
-      else `Binary_damaged_header
-    else if !matches >= magic_len - 2 then `Binary_damaged_header
-    else `Text
-  end
+(* Anything but an intact header — a flipped magic or version byte, a torn
+   header write, a file that is not a trace at all — is reported as a
+   damaged header, and the scan still resynchronizes on whatever valid
+   blocks follow it. *)
+let header_intact data =
+  Bytes.length data >= Codec.header_len
+  && Bytes.sub_string data 0 (String.length Codec.magic) = Codec.magic
+  && Char.code (Bytes.get data (String.length Codec.magic)) = Codec.version
 
 let scan ?(on_event = fun (_ : Event.event) -> ()) path =
   let data = read_file path in
-  match sniff data with
-  | `Binary -> scan_binary ~on_event path data ~header_damage:None
-  | `Binary_damaged_header ->
-    scan_binary ~on_event path data
-      ~header_damage:(Some (0, min (Bytes.length data) Codec.header_len))
-  | `Text -> scan_text ~on_event path data
+  let header_damage =
+    if header_intact data then None
+    else Some (0, min (Bytes.length data) Codec.header_len)
+  in
+  scan_binary ~on_event path data ~header_damage
 
 let repair ?storage ~src ~dst () =
   Writer.with_file ?storage dst (fun w ->

@@ -32,13 +32,12 @@ type damage = {
 type report = {
   path : string;
   input_bytes : int;
-  format : Reader.format;
   blocks_recovered : int;
   events_recovered : int;
   events_dropped : int;
       (** Events decoded from valid blocks but unresolvable against the
           post-damage context (free rank out of range, repeat-dt with no
-          previous dt) — or, for text traces, damaged lines. *)
+          previous dt). *)
   remapped_allocs : int;
       (** Allocations whose id collided after a skipped block and were
           rewritten to fresh ids. *)
@@ -62,9 +61,10 @@ val describe : report -> string
 
 val scan : ?on_event:(Event.event -> unit) -> string -> report
 (** Salvage-read a trace file, streaming every recovered event through
-    [on_event] (in order).  Handles binary traces (block resync) and text
-    traces (damaged lines dropped); a binary header with up to two damaged
-    magic bytes is still recognized as binary.
+    [on_event] (in order).  A damaged header — down to a file that is not
+    a trace at all — is reported as a damaged region and the scan still
+    resynchronizes on any valid blocks after it; a non-trace file thus
+    reports zero events with the whole file skipped.
     @raise Sys_error if the file cannot be read. *)
 
 val repair : ?storage:Wsc_os.Storage.t -> src:string -> dst:string -> unit -> report

@@ -1,17 +1,13 @@
-(** Allocation trace vocabulary: the event type, the streaming generator,
-    and the text v1 line codec.
+(** Allocation trace vocabulary: the event type and its one-line text
+    rendering.
 
     A trace is a portable, deterministic recording of an allocation stream:
     alloc/free events with object identities, issuing CPUs and simulated
-    timestamps.  This module holds the pieces shared by every trace
-    pipeline; the actual storage and replay machinery is the streaming
+    timestamps.  The storage and replay machinery is the streaming
     [wsc_trace] library ({!module:Wsc_trace.Writer} /
     {!module:Wsc_trace.Reader} for constant-memory binary persistence,
-    {!module:Wsc_trace.Recorder} to capture live {!Driver} runs,
-    {!module:Wsc_trace.Replay} for streaming replay).  The legacy
-    list-materializing API ([of_events] / [events] / [replay] /
-    [save] / [load]) that previously lived here has been removed — it held
-    whole streams in memory and nothing used it outside its own tests. *)
+    {!module:Wsc_trace.Recorder} to capture live {!Driver} runs — the one
+    event source — and {!module:Wsc_trace.Replay} for streaming replay). *)
 
 type event =
   | Alloc of { id : int; size : int; cpu : int }
@@ -25,38 +21,8 @@ type event =
           driver runs include these so replay reproduces the allocator's
           cache state bit-exactly. *)
 
-val synthesize_into :
-  ?seed:int ->
-  ?epoch_ns:float ->
-  ?num_cpus:int ->
-  profile:Profile.t ->
-  duration_ns:float ->
-  (event -> unit) ->
-  unit
-(** Generate the exact event stream a {!Driver} with the same seed would
-    issue for [profile] over [duration_ns] (allocations, lifetime-driven
-    frees, cross-thread frees, time advances), feeding each event to the
-    callback as it is generated (e.g. [Wsc_trace.Writer.add]) — memory is
-    proportional to the live-object population, not the stream length.
-    The stream ends balanced: every live object is freed at the end.
-    [num_cpus] is the CPU count threads are folded onto (default: the CPU
-    count of {!Wsc_hw.Topology.default}).
-    @raise Invalid_argument if [num_cpus <= 0]. *)
-
-(** {2 Text v1 line codec}
-
-    One event per line: [a <id> <size> <cpu>], [f <id> <cpu>],
-    [t <dt_ns>], [r <cpu> <0|1>].  Lines starting with [#] are comments.
-    The streaming binary v2 format ([Wsc_trace]) is ~5x smaller and
-    integrity-checked; the text form remains for hand-written fixtures and
-    [wscalloc trace convert] upgrades it to binary. *)
-
 val line_of_event : event -> string
-(** Render one event as its text v1 line (no trailing newline).
-    Round-trips exactly through {!parse_line}. *)
-
-val parse_line : fail:(unit -> event) -> string -> event
-(** Parse one non-comment, non-blank line of the text v1 format; calls
-    [fail] (which should raise) on a malformed line.  The text format is
-    defined here; [Wsc_trace.Reader] reuses this to stream v1 files without
-    materializing them. *)
+(** Render one event as a human-readable line (no trailing newline):
+    [a <id> <size> <cpu>], [f <id> <cpu>], [t <dt_ns>] or
+    [r <cpu> <0|1>].  Output only ([wscalloc trace dump]); the binary
+    format is the one trace format that is read back. *)

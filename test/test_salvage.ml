@@ -123,6 +123,49 @@ let test_clean_trace_repair_identity () =
   check_bool "clean report" true (Salvage.clean rep);
   check_string "repair of a clean trace is the identity" (read_file src) (read_file dst)
 
+(* {1 Trace salvage: damaged headers} *)
+
+(* Two of the eight magic bytes stomped: the header is reported as the one
+   damaged region and every block behind it is still recovered. *)
+let test_six_of_eight_magic_bytes () =
+  with_temp @@ fun path ->
+  let events =
+    List.init 3000 (fun i -> Trace.Alloc { id = i; size = 1 + (i mod 97); cpu = i mod 5 })
+  in
+  write_events path events;
+  let b = Bytes.of_string (read_file path) in
+  Bytes.set b 1 'x';
+  Bytes.set b 6 'x';
+  write_file path (Bytes.to_string b);
+  let rep = Salvage.scan path in
+  check_bool "not clean" false (Salvage.clean rep);
+  check_int "every event recovered" (List.length events) rep.Salvage.events_recovered;
+  check_int "nothing lost" 0 rep.Salvage.events_lost;
+  check_bool "loss exact" true rep.Salvage.loss_exact;
+  check_bool "the header is the damaged region" true
+    (List.map (fun d -> (d.Salvage.d_start, d.Salvage.d_end)) rep.Salvage.damage
+    = [ (0, Codec.header_len) ]);
+  check_bool "eos present" false rep.Salvage.missing_eos
+
+(* A file that is not a trace at all salvages as a binary trace whose
+   header is damaged: nothing recovered, the whole file skipped, and no
+   exception. *)
+let test_non_trace_is_damaged_header () =
+  let text =
+    String.concat ""
+      (List.init 200 (fun i ->
+           Trace.line_of_event (Trace.Alloc { id = i; size = 64; cpu = 0 }) ^ "\n"))
+  in
+  List.iter
+    (fun contents ->
+      with_temp @@ fun path ->
+      write_file path contents;
+      let rep = Salvage.scan path in
+      check_bool "not clean" false (Salvage.clean rep);
+      check_int "no events" 0 rep.Salvage.events_recovered;
+      check_int "whole file skipped" (String.length contents) rep.Salvage.bytes_skipped)
+    [ ""; "WSC"; "# not a trace\n"; text ]
+
 (* {1 Trace salvage: corruption fuzz} *)
 
 (* Random valid event streams (borrowed shape from test_trace_stream). *)
@@ -166,8 +209,8 @@ let test_salvage_fuzz =
          let events = gen_events rand in
          write_events path events;
          let data = Bytes.of_string (read_file path) in
-         (* Damage [flips] random bytes anywhere past the magic (the header
-            itself is covered by a fuzzy sniff, tested separately). *)
+         (* Damage [flips] random bytes anywhere past the header (header
+            damage is tested separately). *)
          for _ = 1 to flips do
            let pos = Codec.header_len + Random.State.int rand (Bytes.length data - Codec.header_len) in
            Bytes.set data pos
@@ -438,6 +481,10 @@ let suite =
           test_golden_single_block_loss;
         Alcotest.test_case "clean repair is the identity" `Quick
           test_clean_trace_repair_identity;
+        Alcotest.test_case "6 of 8 magic bytes: header damage only" `Quick
+          test_six_of_eight_magic_bytes;
+        Alcotest.test_case "non-trace file is a damaged header" `Quick
+          test_non_trace_is_damaged_header;
         test_salvage_fuzz;
         test_salvage_payload_flip_loss_exact;
         Alcotest.test_case "torn write loses tail not head" `Quick

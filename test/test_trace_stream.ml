@@ -1,6 +1,6 @@
 (* Tests for the streaming trace pipeline (wsc_trace): codec round-trips,
-   corruption detection, text-v1 conversion, live recording, and streaming
-   replay equivalence. *)
+   corruption detection, live recording, and streaming replay
+   equivalence. *)
 
 open Wsc_substrate
 open Wsc_workload
@@ -86,13 +86,7 @@ let test_live_index_compaction () =
 
 (* {1 Codec round-trip} *)
 
-let pp_event = function
-  | Trace.Alloc { id; size; cpu } -> Printf.sprintf "a %d %d %d" id size cpu
-  | Trace.Free { id; cpu } -> Printf.sprintf "f %d %d" id cpu
-  | Trace.Advance { dt_ns } -> Printf.sprintf "t %.17g" dt_ns
-  | Trace.Retire { cpu; flush } -> Printf.sprintf "r %d %b" cpu flush
-
-let pp_events evs = String.concat "\n" (List.map pp_event evs)
+let pp_events evs = String.concat "\n" (List.map Trace.line_of_event evs)
 
 (* Random semantically valid event streams exercising the codec's edge
    paths: sequential and far-jumping ids, reallocation of freed ids
@@ -314,54 +308,20 @@ let test_unsupported_version_rejected () =
                false
              with Reader.Corrupt { block = 0; _ } -> true)))
 
-(* {1 Text v1 interop} *)
-
-let test_text_convert_equivalence =
-  qcheck
-    (QCheck.Test.make ~name:"text_v1_convert_equivalence" ~count:15
-       QCheck.(int_range 1 500)
-       (fun seed ->
-         let events = ref [] in
-         Trace.synthesize_into ~seed ~profile:Apps.redis
-           ~duration_ns:(0.2 *. Units.sec)
-           (fun ev -> events := ev :: !events);
-         let events = List.rev !events in
-         with_temp (fun text_path ->
-             with_temp (fun bin_path ->
-                 (* Write the text v1 form a line at a time. *)
-                 let oc = open_out text_path in
-                 output_string oc "# wsc-alloc trace v1\n";
-                 List.iter
-                   (fun ev ->
-                     output_string oc (Trace.line_of_event ev);
-                     output_char oc '\n')
-                   events;
-                 close_out oc;
-                 (* Streaming-convert text -> binary. *)
-                 let copied =
-                   Reader.with_file text_path (fun r ->
-                       Writer.with_file bin_path (fun w -> Reader.copy_into r w))
-                 in
-                 copied = List.length events
-                 && read_events bin_path = events
-                 &&
-                 let s_text = Reader.verify text_path
-                 and s_bin = Reader.verify bin_path in
-                 s_text.Reader.summary_format = `Text_v1
-                 && s_bin.Reader.summary_format = `Binary
-                 && s_text.Reader.allocations = s_bin.Reader.allocations
-                 && s_text.Reader.frees = s_bin.Reader.frees
-                 && s_text.Reader.duration_ns = s_bin.Reader.duration_ns))))
-
-let test_text_errors_name_line () =
-  with_temp (fun path ->
-      write_file path "# wsc-alloc trace v1\na 1 100 0\nf 2 0\n";
-      check_bool "semantic error carries line number" true
-        (try
-           ignore (Reader.verify path);
-           false
-         with Invalid_argument msg ->
-           msg = "Wsc_trace.Reader: line 3: free of unknown id 2"))
+(* A file that is not a trace fails the strict reader at its header, so
+   `trace verify` exits 65 instead of reading text as events. *)
+let test_non_trace_rejected () =
+  List.iter
+    (fun contents ->
+      with_temp (fun path ->
+          write_file path contents;
+          match Reader.verify path with
+          | _ -> Alcotest.failf "non-trace %S accepted" contents
+          | exception Reader.Corrupt { block; reason } ->
+            check_int "header block" 0 block;
+            Alcotest.(check string)
+              "reason" "not a wscalloc trace (bad magic)" reason))
+    [ ""; "WSC"; "# a hand-written event list\na 1 100 0\nf 1 0\n" ]
 
 (* {1 Streaming scale} *)
 
@@ -483,8 +443,7 @@ let suite =
         Alcotest.test_case "error names block" `Quick test_corrupt_error_names_block;
         Alcotest.test_case "missing EOS detected" `Quick test_missing_eos_detected;
         Alcotest.test_case "future version rejected" `Quick test_unsupported_version_rejected;
-        test_text_convert_equivalence;
-        Alcotest.test_case "text error lines" `Quick test_text_errors_name_line;
+        Alcotest.test_case "non-trace file rejected" `Quick test_non_trace_rejected;
       ] );
     ( "trace_stream_replay",
       [

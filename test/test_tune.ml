@@ -10,6 +10,8 @@ module Space = Wsc_tune.Space
 module Pareto = Wsc_tune.Pareto
 module Tuner = Wsc_tune.Tune
 module Replay = Wsc_trace.Replay
+module Recorder = Wsc_trace.Recorder
+module Writer = Wsc_trace.Writer
 module Campaign = Wsc_fleet.Campaign
 module Arena = Wsc_fleet.Arena
 
@@ -21,14 +23,22 @@ let check_string = Alcotest.(check string)
 let backend_of_int i =
   List.nth Config.all_backends (abs i mod List.length Config.all_backends)
 
+(* Record [profile] into a temporary trace file and run [f] on its path. *)
+let with_recorded ~seed ~duration_ns profile f =
+  let path = Filename.temp_file "wsc_tune" ".wtrace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Writer.with_file path (fun w ->
+          ignore (Recorder.record_app ~seed ~duration_ns ~writer:w profile));
+      f path)
+
 (* A small shared event stream: enough traffic to separate configs, cheap
    enough to replay a few dozen times. *)
 let events =
   lazy
-    (let acc = ref [] in
-     Wsc_workload.Trace.synthesize_into ~seed:3 ~profile:Wsc_workload.Apps.redis
-       ~duration_ns:(0.2 *. Units.sec) (fun ev -> acc := ev :: !acc);
-     Array.of_list (List.rev !acc))
+    (with_recorded ~seed:3 ~duration_ns:(0.2 *. Units.sec) Wsc_workload.Apps.spanner
+       Replay.preload)
 
 (* {1 Genome space} *)
 
@@ -301,14 +311,13 @@ let test_campaign_builds_one_sampler () =
 let repo_file name =
   List.find_opt Sys.file_exists [ Filename.concat ".." name; name ]
 
-let committed name =
-  match repo_file name with
-  | None -> None
-  | Some path ->
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
+let read_all path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let committed name = Option.map read_all (repo_file name)
 
 (* Recompute two arena cells from a fresh process: their deterministic
    field prefixes must appear verbatim in the committed BENCH_arena.json. *)
@@ -353,6 +362,21 @@ let test_tune_baseline_matches_committed () =
       ("committed BENCH_tune.json carries the recomputed baseline " ^ line)
       true (contains text line)
 
+(* The pinned trace is a plain recording: 2 s of monarch at seed 11,
+   exactly what `wscalloc trace record --app monarch --duration 2 --seed 11`
+   writes.  Pins the recorder and codec bytes BENCH_tune.json depends on. *)
+let test_pinned_trace_is_recorded_monarch () =
+  match committed "bench/tune_pinned.wtrace" with
+  | None -> Alcotest.fail "pinned trace bench/tune_pinned.wtrace not found"
+  | Some pinned ->
+    with_recorded ~seed:11 ~duration_ns:(2.0 *. Units.sec) Wsc_workload.Apps.monarch
+      (fun path ->
+        let recorded = read_all path in
+        check_int "recorded size = pinned size" (String.length pinned)
+          (String.length recorded);
+        check_bool "recorded monarch stream is byte-identical to the pinned trace"
+          true (recorded = pinned))
+
 let suite =
   [
     ( "tune.space",
@@ -393,5 +417,7 @@ let suite =
           test_arena_cells_match_committed;
         Alcotest.test_case "tune_baseline_matches_committed" `Quick
           test_tune_baseline_matches_committed;
+        Alcotest.test_case "pinned_trace_is_recorded_monarch" `Quick
+          test_pinned_trace_is_recorded_monarch;
       ] );
   ]
