@@ -1,9 +1,19 @@
 (* Test entry point: aggregates every library's suites under one alcotest
    runner so `dune runtest` exercises the whole stack. *)
 
+(* Suites that share a name (the paper-table goldens of Test_hw and the
+   digest goldens of Test_golden) run as one suite. *)
+let merge_by_name suites =
+  List.fold_left
+    (fun acc (name, cases) ->
+      if List.mem_assoc name acc then
+        List.map (fun (n, cs) -> if n = name then (n, cs @ cases) else (n, cs)) acc
+      else acc @ [ (name, cases) ])
+    [] suites
+
 let () =
   Alcotest.run "wsc_alloc"
-    (List.concat
+    (merge_by_name @@ List.concat
        [
          Test_substrate.suite;
          Test_hw.suite;
@@ -25,4 +35,5 @@ let () =
          Test_eventloop.suite;
          Test_backend.suite;
          Test_tune.suite;
+         Test_golden.suite;
        ])
