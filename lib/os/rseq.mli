@@ -21,10 +21,27 @@
     vCPU id, up to a bounded restart budget, after which the caller must
     take its lock-protected slow path (the transfer cache).
 
-    The caller supplies the section body as a staged operation: a pure
-    read/prepare phase producing a value plus a [commit] closure holding
-    every mutation.  {!Wsc_tcmalloc.Per_cpu_cache} exposes its fast-path
-    operations in exactly this shape. *)
+    The module only makes the injector's decisions; the caller runs the
+    attempt loop itself.  One operation is
+
+    {v
+    enter r;
+    attempt 0 (with restarts = 0, 1, ...):
+      if preempted r Read_vcpu then restart-or-fall-back
+      read the vCPU id
+      if preempted r Pick_class then restart-or-fall-back
+      prepare (reads only: stage the decision)
+      if preempted r Prepare || preempted r Commit then restart-or-fall-back
+      apply the staged decision; commit r
+    restart-or-fall-back:
+      if restart r ~restarts then attempt (restarts + 1) else take the slow path
+    v}
+
+    The [Prepare] and [Commit] checks short-circuit: an abort at
+    [Prepare] draws nothing for [Commit].  Callers that keep this order
+    reproduce the same random stream, so swapping one caller for another
+    changes no simulated outcome.  {!Wsc_tcmalloc.Malloc} runs this loop
+    over {!Wsc_tcmalloc.Per_cpu_cache}'s staged-op buffer. *)
 
 type config = {
   seed : int;  (** Root seed of the preemption stream. *)
@@ -53,18 +70,6 @@ val step_of_index : int -> step
 (** Inverse of position in {!all_steps}.  @raise Invalid_argument outside
     [0, n_steps). *)
 
-(** A staged operation: [value] is what the attempt will return, [commit]
-    performs every mutation.  The staging phase must be pure so that an
-    abort (never calling [commit]) leaves no trace. *)
-type 'a staged = { value : 'a; commit : unit -> unit }
-
-type 'a result = {
-  outcome : 'a option;
-      (** [Some v] when an attempt committed; [None] when the restart
-          budget ran out and the caller must take the slow path. *)
-  restarts : int;  (** Aborted attempts that were retried. *)
-}
-
 type t
 
 val create : ?index:int -> config -> t
@@ -75,22 +80,23 @@ val create : ?index:int -> config -> t
 
 val config : t -> config
 
-val run : t -> read_vcpu:(unit -> int) -> stage:(vcpu:int -> 'a staged) -> 'a result
-(** Execute one restartable operation.  Each attempt draws a preemption
-    decision at every step; surviving all four commits the staged
-    operation.  A preempted attempt aborts without mutating (neither
-    [read_vcpu] nor [stage] may mutate observable state) and restarts with
-    a freshly read vCPU id, at most [max_restarts] times. *)
+val enter : t -> unit
+(** Start one operation (counted in {!stats}[.ops]). *)
 
-val run_op :
-  t -> read_vcpu:(unit -> int) -> prepare:(int -> unit) -> commit:(unit -> unit) -> int
-(** Allocation-free twin of {!run} for per-event fast paths: [prepare vcpu]
-    stages into a reusable buffer owned by the caller and [commit] applies
-    it, so no staged record is built per attempt.  Preemption points and
-    RNG draw order are identical to {!run}.  Returns [restarts >= 0] when
-    the operation committed after that many restarts, or [-1 - restarts]
-    when the budget ran out and the caller must take its slow path.  All
-    three closures are expected to be preallocated by the caller. *)
+val preempted : t -> step -> bool
+(** Whether the current attempt is preempted at [step]: an armed one-shot
+    abort for exactly this step is consumed first; otherwise a Bernoulli
+    draw at [preempt_prob] (no draw when it is 0). *)
+
+val commit : t -> unit
+(** The current attempt passed every step and applied its staged
+    decision. *)
+
+val restart : t -> restarts:int -> bool
+(** The current attempt, which followed [restarts] earlier aborts, was
+    preempted.  [true]: restart it (counted as a restart).  [false]: the
+    budget is spent, the operation fell back (counted) and the caller must
+    take its slow path. *)
 
 val note_migration : t -> unit
 (** Arm a one-shot forced preemption at {!Read_vcpu}: the scheduler moved

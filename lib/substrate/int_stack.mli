@@ -15,12 +15,6 @@ val pop : t -> int
 (** @raise Invalid_argument when empty. *)
 
 val pop_opt : t -> int option
-val peek_opt : t -> int option
-
-val peek_up_to : t -> int -> int list
-(** [peek_up_to t n] is the list {!pop_up_to} would return (at most [n]
-    elements, most-recent first) without removing anything — the staging
-    half of a restartable flush. *)
 
 val pop_up_to : t -> int -> int list
 (** [pop_up_to t n] removes at most [n] elements, most-recent first. *)

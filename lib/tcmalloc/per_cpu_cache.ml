@@ -1,5 +1,4 @@
 open Wsc_substrate
-module Rseq = Wsc_os.Rseq
 
 type addr = int
 
@@ -16,9 +15,15 @@ type cpu_cache = {
    records the decision here (no mutation, no allocation) and
    [commit_staged] applies it.  A preempted attempt simply overwrites the
    buffer on restart, so a torn operation cannot lose or duplicate an
-   object — same contract as the closure-based [stage_*] API, minus the
-   per-attempt record and closure. *)
-type op_kind = Op_none | Op_alloc_hit | Op_alloc_miss | Op_dealloc_ok | Op_dealloc_miss
+   object. *)
+type op_kind =
+  | Op_none
+  | Op_alloc_hit
+  | Op_alloc_miss
+  | Op_dealloc_ok
+  | Op_dealloc_miss
+  | Op_fill
+  | Op_flush
 
 type t = {
   config : Config.t;
@@ -29,6 +34,9 @@ type t = {
   mutable op_cache : cpu_cache;  (* cache the staged op applies to *)
   mutable op_cls : int;
   mutable op_addr : int;
+  mutable op_buf : addr array;  (* fill/flush: the caller's batch buffer *)
+  mutable op_pos : int;  (* fill: first offered slot; flush: first landing slot *)
+  mutable op_n : int;  (* fill: objects accepted; flush: objects popped *)
 }
 
 let min_capacity_bytes = 128 * 1024
@@ -60,6 +68,9 @@ let create ?(config = Config.baseline) () =
     op_cache = dummy_cache ();
     op_cls = 0;
     op_addr = 0;
+    op_buf = [||];
+    op_pos = 0;
+    op_n = 0;
   }
 
 let cache_of t vcpu =
@@ -96,14 +107,11 @@ let miss c =
    preemption injector aborts simply never commits, so a torn operation
    cannot lose or duplicate an object.
 
-   The per-event paths come in two shapes: [prepare_alloc]/[prepare_dealloc]
-   stage into the reusable op buffer and [commit_staged] applies it
-   (allocation-free, used under a live injector via {!Wsc_os.Rseq.run_op}),
-   while the plain [alloc]/[dealloc] below fuse stage and commit into one
-   direct, allocation-free step (the no-preemption fast path).  The
-   closure-based [stage_*] forms remain for the batch ops (flush/fill,
-   which traffic in lists anyway) and for tests that need a first-class
-   staged value. *)
+   Each operation comes in two shapes: [prepare_*] stages into the
+   reusable op buffer and [commit_staged] applies it (used under a live
+   injector), while the plain [alloc]/[dealloc]/[fill_from]/
+   [flush_batch_into] below fuse stage and commit into one direct step
+   (the no-preemption path).  Both share the commit bodies. *)
 
 let commit_alloc_hit c ~cls =
   ignore (Int_stack.pop c.stacks.(cls));
@@ -148,6 +156,52 @@ let prepare_dealloc t ~vcpu ~cls a =
     false
   end
 
+(* How many of [buf.(lo) .. buf.(hi-1)] a refill may cache: the first
+   rejection leaves the cache untouched, so every later address is
+   rejected too, and acceptance is a prefix bounded by both the byte
+   budget and the per-class object cap. *)
+let fill_room t c ~cls ~lo ~hi =
+  let size = Size_class.size cls in
+  let room_bytes = max 0 ((c.capacity_bytes - c.used_bytes) / size) in
+  let room_objects = max 0 (class_cap t.config cls - Int_stack.length c.stacks.(cls)) in
+  min (min room_bytes room_objects) (hi - lo)
+
+let commit_fill c ~cls buf ~lo ~n =
+  let size = Size_class.size cls in
+  for i = lo to lo + n - 1 do
+    Int_stack.push c.stacks.(cls) buf.(i);
+    c.used_bytes <- c.used_bytes + size
+  done
+
+let commit_flush c ~cls buf ~pos ~n =
+  let m = Int_stack.pop_into c.stacks.(cls) buf ~pos ~n in
+  c.used_bytes <- c.used_bytes - (m * Size_class.size cls);
+  let len = Int_stack.length c.stacks.(cls) in
+  if len < c.low_watermark.(cls) then c.low_watermark.(cls) <- len;
+  m
+
+let prepare_fill t ~vcpu ~cls ~buf ~lo ~hi =
+  let c = cache_of t vcpu in
+  let k = fill_room t c ~cls ~lo ~hi in
+  t.op_kind <- Op_fill;
+  t.op_cache <- c;
+  t.op_cls <- cls;
+  t.op_buf <- buf;
+  t.op_pos <- lo;
+  t.op_n <- k;
+  k
+
+let prepare_flush t ~vcpu ~cls ~n ~buf ~pos =
+  let c = cache_of t vcpu in
+  let m = min n (Int_stack.length c.stacks.(cls)) in
+  t.op_kind <- Op_flush;
+  t.op_cache <- c;
+  t.op_cls <- cls;
+  t.op_buf <- buf;
+  t.op_pos <- pos;
+  t.op_n <- m;
+  m
+
 let commit_staged t =
   let c = t.op_cache in
   (match t.op_kind with
@@ -155,63 +209,10 @@ let commit_staged t =
   | Op_alloc_hit -> commit_alloc_hit c ~cls:t.op_cls
   | Op_alloc_miss -> miss c
   | Op_dealloc_ok -> commit_dealloc_ok c ~cls:t.op_cls t.op_addr
-  | Op_dealloc_miss -> miss c);
+  | Op_dealloc_miss -> miss c
+  | Op_fill -> commit_fill c ~cls:t.op_cls t.op_buf ~lo:t.op_pos ~n:t.op_n
+  | Op_flush -> ignore (commit_flush c ~cls:t.op_cls t.op_buf ~pos:t.op_pos ~n:t.op_n));
   t.op_kind <- Op_none
-
-let stage_alloc t ~vcpu ~cls =
-  let c = cache_of t vcpu in
-  match Int_stack.peek_opt c.stacks.(cls) with
-  | Some a -> { Rseq.value = Some a; commit = (fun () -> commit_alloc_hit c ~cls) }
-  | None -> { Rseq.value = None; commit = (fun () -> miss c) }
-
-let stage_dealloc t ~vcpu ~cls a =
-  let c = cache_of t vcpu in
-  if
-    c.used_bytes + Size_class.size cls <= c.capacity_bytes
-    && Int_stack.length c.stacks.(cls) < class_cap t.config cls
-  then { Rseq.value = true; commit = (fun () -> commit_dealloc_ok c ~cls a) }
-  else { Rseq.value = false; commit = (fun () -> miss c) }
-
-let stage_flush_batch t ~vcpu ~cls ~n =
-  let c = cache_of t vcpu in
-  let addrs = Int_stack.peek_up_to c.stacks.(cls) n in
-  {
-    Rseq.value = addrs;
-    commit =
-      (fun () ->
-        ignore (Int_stack.pop_up_to c.stacks.(cls) (List.length addrs));
-        c.used_bytes <- c.used_bytes - (List.length addrs * Size_class.size cls);
-        let len = Int_stack.length c.stacks.(cls) in
-        if len < c.low_watermark.(cls) then c.low_watermark.(cls) <- len);
-  }
-
-let stage_fill t ~vcpu ~cls ~addrs =
-  let c = cache_of t vcpu in
-  let size = Size_class.size cls in
-  let cap = class_cap t.config cls in
-  (* The first rejection leaves the cache untouched, so every later address
-     is rejected too: acceptance is a prefix bounded by both the byte
-     budget and the per-class object cap. *)
-  let room_bytes = max 0 ((c.capacity_bytes - c.used_bytes) / size) in
-  let room_objects = max 0 (cap - Int_stack.length c.stacks.(cls)) in
-  let k = min room_bytes room_objects in
-  let rec split i acc rest =
-    match rest with
-    | _ when i = k -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | a :: tail -> split (i + 1) (a :: acc) tail
-  in
-  let accepted, rest = split 0 [] addrs in
-  {
-    Rseq.value = List.rev rest;  (* rejected, in [fill]'s historical order *)
-    commit =
-      (fun () ->
-        List.iter
-          (fun a ->
-            Int_stack.push c.stacks.(cls) a;
-            c.used_bytes <- c.used_bytes + size)
-          accepted);
-  }
 
 (* Direct fast paths: stage-and-commit fused, zero allocation per call.
    [alloc] returns the address or [-1] on a front-end miss. *)
@@ -246,37 +247,13 @@ let dealloc t ~vcpu ~cls a =
     false
   end
 
-let flush_batch t ~vcpu ~cls ~n =
-  let s = stage_flush_batch t ~vcpu ~cls ~n in
-  s.Rseq.commit ();
-  s.Rseq.value
-
-let fill t ~vcpu ~cls ~addrs =
-  let s = stage_fill t ~vcpu ~cls ~addrs in
-  s.Rseq.commit ();
-  s.Rseq.value
-
-(* Buffer twins of [flush_batch]/[fill] — same pop order, byte accounting,
-   and watermark updates, with no list cells or staged records. *)
 let flush_batch_into t ~vcpu ~cls ~n ~buf ~pos =
-  let c = cache_of t vcpu in
-  let m = Int_stack.pop_into c.stacks.(cls) buf ~pos ~n in
-  c.used_bytes <- c.used_bytes - (m * Size_class.size cls);
-  let len = Int_stack.length c.stacks.(cls) in
-  if len < c.low_watermark.(cls) then c.low_watermark.(cls) <- len;
-  m
+  commit_flush (cache_of t vcpu) ~cls buf ~pos ~n
 
 let fill_from t ~vcpu ~cls ~buf ~lo ~hi =
   let c = cache_of t vcpu in
-  let size = Size_class.size cls in
-  let cap = class_cap t.config cls in
-  let room_bytes = max 0 ((c.capacity_bytes - c.used_bytes) / size) in
-  let room_objects = max 0 (cap - Int_stack.length c.stacks.(cls)) in
-  let k = min (min room_bytes room_objects) (hi - lo) in
-  for i = lo to lo + k - 1 do
-    Int_stack.push c.stacks.(cls) buf.(i);
-    c.used_bytes <- c.used_bytes + size
-  done;
+  let k = fill_room t c ~cls ~lo ~hi in
+  commit_fill c ~cls buf ~lo ~n:k;
   k
 
 (* Shrink a cache to its (reduced) budget by evicting whole stacks of the

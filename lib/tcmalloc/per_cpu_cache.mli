@@ -21,13 +21,11 @@
     Every fast-path operation is a {b restartable sequence}: staging reads
     the cache and records a decision, a single commit holds all mutation,
     so {!Wsc_os.Rseq} can abort a preempted attempt without tearing the
-    cache.  The per-event operations exist in three shapes, hottest first:
-    the plain [alloc]/[dealloc] fuse stage and commit into one direct,
-    allocation-free call (the no-preemption fast path);
-    [prepare_alloc]/[prepare_dealloc] + [commit_staged] stage into a
-    reusable buffer for {!Wsc_os.Rseq.run_op} (allocation-free under a
-    live injector); and the [stage_*] closures return a first-class
-    {!Wsc_os.Rseq.staged} value (batch flush/fill, tests). *)
+    cache.  Each operation exists in two shapes: the direct
+    [alloc]/[dealloc]/[fill_from]/[flush_batch_into] fuse stage and commit
+    into one allocation-free call (the no-preemption path), and
+    [prepare_*] + {!commit_staged} stage into a reusable op buffer for the
+    restartable loop that {!Malloc} runs under a live injector. *)
 
 type addr = int
 
@@ -42,20 +40,14 @@ val dealloc : t -> vcpu:int -> cls:int -> addr -> bool
 (** Fast-path deallocation; [false] means the cache is full (counted as a
     miss) and the caller must flush a batch to the transfer cache. *)
 
-val flush_batch : t -> vcpu:int -> cls:int -> n:int -> addr list
-(** Pop up to [n] cached objects of a class (used on deallocation misses). *)
-
-val fill : t -> vcpu:int -> cls:int -> addrs:addr list -> addr list
-(** Insert refilled objects; returns those that did not fit the budget. *)
-
 val flush_batch_into : t -> vcpu:int -> cls:int -> n:int -> buf:addr array -> pos:int -> int
-(** Allocation-free {!flush_batch}: up to [n] objects (most-recent first)
-    land in [buf.(pos) ..]; returns how many. *)
+(** Pop up to [n] cached objects of a class (used on deallocation misses):
+    they land most-recent first in [buf.(pos) ..]; returns how many. *)
 
 val fill_from : t -> vcpu:int -> cls:int -> buf:addr array -> lo:int -> hi:int -> int
-(** Allocation-free {!fill}: offer [buf.(lo) .. buf.(hi-1)] in order and
-    accept the budget-bounded prefix; returns how many were accepted (the
-    suffix from [buf.(lo + accepted)] was rejected). *)
+(** Insert refilled objects: offer [buf.(lo) .. buf.(hi-1)] in order and
+    accept the prefix that fits the budget; returns how many were accepted
+    (the suffix from [buf.(lo + accepted)] was rejected). *)
 
 (** {2 Restartable fast-path operations — reusable staged-op buffer}
 
@@ -72,24 +64,16 @@ val prepare_alloc : t -> vcpu:int -> cls:int -> addr
 val prepare_dealloc : t -> vcpu:int -> cls:int -> addr -> bool
 (** Stage one deallocation; [false] stages a cache-full miss. *)
 
+val prepare_fill : t -> vcpu:int -> cls:int -> buf:addr array -> lo:int -> hi:int -> int
+(** Stage {!fill_from}: returns how many objects committing would accept. *)
+
+val prepare_flush :
+  t -> vcpu:int -> cls:int -> n:int -> buf:addr array -> pos:int -> int
+(** Stage {!flush_batch_into}: returns how many objects committing would
+    pop into [buf.(pos) ..].  [buf] is written only by the commit. *)
+
 val commit_staged : t -> unit
 (** Apply the op staged by the last [prepare_*]; no-op if none pending. *)
-
-(** {2 Restartable (staged) fast-path operations — first-class form} *)
-
-val stage_alloc : t -> vcpu:int -> cls:int -> addr option Wsc_os.Rseq.staged
-(** Stage one allocation: the value is the object that committing would
-    pop ([None] stages a miss, whose commit only bumps the miss counter). *)
-
-val stage_dealloc : t -> vcpu:int -> cls:int -> addr -> bool Wsc_os.Rseq.staged
-(** Stage one deallocation; [false] stages a cache-full miss. *)
-
-val stage_flush_batch : t -> vcpu:int -> cls:int -> n:int -> addr list Wsc_os.Rseq.staged
-(** Stage a batch flush: the value is the batch committing would pop. *)
-
-val stage_fill : t -> vcpu:int -> cls:int -> addrs:addr list -> addr list Wsc_os.Rseq.staged
-(** Stage a refill: the value is the rejected suffix; committing inserts
-    the accepted prefix. *)
 
 val decay_tick : t -> evict:(vcpu:int -> cls:int -> addrs:addr list -> unit) -> unit
 (** Demand-based capacity decay (TCMalloc shrinks per-class capacity that

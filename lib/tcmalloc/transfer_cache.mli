@@ -25,29 +25,17 @@ type t
 val create :
   ?config:Config.t -> topology:Wsc_hw.Topology.t -> Central_free_list.t -> t
 
-type remove_result = {
-  addrs : addr list;
-  local_reuse : int;  (** Objects reused from the requesting LLC domain. *)
-  remote_reuse : int;  (** Objects that must migrate across domains. *)
-  from_cfl : int;  (** Objects that fell through to the central free list. *)
-  mmaps : int;  (** mmap calls incurred below the central free list. *)
-}
-
-val remove : t -> cls:int -> n:int -> domain:int -> now:float -> remove_result
-(** Fetch [n] objects of a class for a consumer in [domain]. *)
-
 val insert : t -> cls:int -> addrs:addr list -> domain:int -> now:float -> int
 (** Store freed objects coming from [domain]; returns how many overflowed
     to the central free list (0 when the cache had room). *)
 
-(** Mutable scratch record filled by {!remove_into} — the counters
-    {!remove_result} carries, without the per-miss record allocation. *)
+(** Mutable scratch record filled by {!remove_into}. *)
 type remove_stats = {
   mutable rs_count : int;  (** Objects delivered into the buffer. *)
-  mutable rs_local : int;
-  mutable rs_remote : int;
-  mutable rs_from_cfl : int;
-  mutable rs_mmaps : int;
+  mutable rs_local : int;  (** Objects reused from the requesting LLC domain. *)
+  mutable rs_remote : int;  (** Objects that must migrate across domains. *)
+  mutable rs_from_cfl : int;  (** Objects that fell through to the central free list. *)
+  mutable rs_mmaps : int;  (** mmap calls incurred below the central free list. *)
 }
 
 val make_remove_stats : unit -> remove_stats
@@ -61,10 +49,10 @@ val remove_into :
   buf:addr array ->
   stats:remove_stats ->
   unit
-(** Allocation-free twin of {!remove} for the cache-miss batch path: up to
-    [n] objects land in [buf.(0) .. stats.rs_count) in exactly the order
-    {!remove} would have listed them, and the counters land in [stats].
-    [buf] must have room for [n] objects. *)
+(** Fetch [n] objects of a class for a consumer in [domain], without
+    allocating: up to [n] objects land in [buf.(0) .. stats.rs_count)
+    (the central-free-list pops reversed, then the shard pops reversed) and
+    the counters land in [stats].  [buf] must have room for [n] objects. *)
 
 val insert_from :
   t -> cls:int -> domain:int -> now:float -> buf:addr array -> lo:int -> hi:int -> int

@@ -32,15 +32,16 @@ let tc_uniqueness =
         (fun (is_remove, domain) ->
           if is_remove || !held_list = [] then begin
             let n = 1 + Rng.int rng 32 in
-            let r = Transfer_cache.remove tc ~cls ~n ~domain ~now:0.0 in
-            List.iter
+            let buf = Array.make n 0 and stats = Transfer_cache.make_remove_stats () in
+            Transfer_cache.remove_into tc ~cls ~n ~domain ~now:0.0 ~buf ~stats;
+            Array.iter
               (fun a ->
                 if Hashtbl.mem held a then ok := false
                 else begin
                   Hashtbl.replace held a ();
                   held_list := a :: !held_list
                 end)
-              r.Transfer_cache.addrs
+              (Array.sub buf 0 stats.Transfer_cache.rs_count)
           end
           else begin
             (* Return a random prefix of what we hold. *)

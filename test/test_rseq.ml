@@ -25,11 +25,26 @@ let check_bool = Alcotest.(check bool)
 let rc ?(seed = 1) ?(p = 0.0) ?(budget = 3) () =
   { Rseq.seed; preempt_prob = p; max_restarts = budget }
 
-(* One trivial restartable op: reads vcpu 0, commits a counter bump. *)
+(* One trivial restartable op, run through the same attempt loop as the
+   allocator (with nothing to read or stage): committing bumps a counter.
+   Returns the restarts of a committed op, or [-1 - restarts] when the
+   budget ran out. *)
 let run_unit ?(commits = ref 0) r =
-  Rseq.run r
-    ~read_vcpu:(fun () -> 0)
-    ~stage:(fun ~vcpu:_ -> { Rseq.value = (); commit = (fun () -> incr commits) })
+  Rseq.enter r;
+  let rec attempt restarts =
+    if
+      Rseq.preempted r Rseq.Read_vcpu
+      || Rseq.preempted r Rseq.Pick_class
+      || Rseq.preempted r Rseq.Prepare
+      || Rseq.preempted r Rseq.Commit
+    then if Rseq.restart r ~restarts then attempt (restarts + 1) else -1 - restarts
+    else begin
+      incr commits;
+      Rseq.commit r;
+      restarts
+    end
+  in
+  attempt 0
 
 let expect_invalid_arg what f =
   match f () with
@@ -46,9 +61,7 @@ let audit_clean what m =
 let test_engine_commit_without_preemption () =
   let r = Rseq.create (rc ()) in
   let commits = ref 0 in
-  let result = run_unit ~commits r in
-  check_bool "committed" true (result.Rseq.outcome = Some ());
-  check_int "no restarts" 0 result.Rseq.restarts;
+  check_int "committed without restarts" 0 (run_unit ~commits r);
   check_int "one commit" 1 !commits;
   let st = Rseq.stats r in
   check_int "ops" 1 st.Rseq.ops;
@@ -61,10 +74,8 @@ let test_engine_forced_abort_each_step () =
       let r = Rseq.create (rc ~budget:Rseq.n_steps ()) in
       Rseq.force_preempt r ~step;
       let commits = ref 0 in
-      let result = run_unit ~commits r in
       let name = Rseq.step_name step in
-      check_bool (name ^ " committed") true (result.Rseq.outcome = Some ());
-      check_int (name ^ " one restart") 1 result.Rseq.restarts;
+      check_int (name ^ " committed after one restart") 1 (run_unit ~commits r);
       check_int (name ^ " exactly one commit") 1 !commits;
       check_int (name ^ " forced abort consumed") 1 (Rseq.stats r).Rseq.forced_aborts;
       check_bool "step_of_index inverse" true (Rseq.step_of_index i = step))
@@ -76,13 +87,11 @@ let test_engine_budget_exhaustion () =
   let r = Rseq.create (rc ~budget:0 ()) in
   Rseq.force_preempt r ~step:Rseq.Commit;
   let commits = ref 0 in
-  let result = run_unit ~commits r in
-  check_bool "fell back" true (result.Rseq.outcome = None);
+  check_int "fell back without restarts" (-1) (run_unit ~commits r);
   check_int "no commit on fallback" 0 !commits;
   check_int "fallback counted" 1 (Rseq.stats r).Rseq.fallbacks;
   (* The armed abort was consumed; the next op sails through. *)
-  let result = run_unit ~commits r in
-  check_bool "next op commits" true (result.Rseq.outcome = Some ())
+  check_int "next op commits" 0 (run_unit ~commits r)
 
 let test_engine_migration_idempotent_until_consumed () =
   let r = Rseq.create (rc ()) in
@@ -90,8 +99,8 @@ let test_engine_migration_idempotent_until_consumed () =
   Rseq.note_migration r;
   let first = run_unit r in
   let second = run_unit r in
-  check_int "one restart from both arms" 1 first.Rseq.restarts;
-  check_int "second op unaffected" 0 second.Rseq.restarts;
+  check_int "one restart from both arms" 1 first;
+  check_int "second op unaffected" 0 second;
   check_int "one forced abort" 1 (Rseq.stats r).Rseq.forced_aborts
 
 let test_engine_config_validation () =
@@ -116,27 +125,39 @@ let test_staged_ops_mutate_only_on_commit () =
   let pcc = Per_cpu_cache.create () in
   let cls = Option.get (Size_class.of_size 64) in
   let size = Size_class.size cls in
-  let rejected = Per_cpu_cache.fill pcc ~vcpu:0 ~cls ~addrs:[ 0x1000; 0x2000 ] in
-  check_int "fill accepted both" 0 (List.length rejected);
-  let used = Per_cpu_cache.used_bytes pcc ~vcpu:0 in
-  check_int "both cached" (2 * size) used;
-  let staged = Per_cpu_cache.stage_alloc pcc ~vcpu:0 ~cls in
-  check_int "staging pops nothing" used (Per_cpu_cache.used_bytes pcc ~vcpu:0);
-  let again = Per_cpu_cache.stage_alloc pcc ~vcpu:0 ~cls in
-  check_bool "staging is repeatable" true (staged.Rseq.value = again.Rseq.value);
-  let flush = Per_cpu_cache.stage_flush_batch pcc ~vcpu:0 ~cls ~n:2 in
-  check_int "flush preview removes nothing" used (Per_cpu_cache.used_bytes pcc ~vcpu:0);
-  check_int "flush preview sees both" 2 (List.length flush.Rseq.value);
-  staged.Rseq.commit ();
-  check_int "commit pops one" (used - size) (Per_cpu_cache.used_bytes pcc ~vcpu:0);
-  let back =
-    Per_cpu_cache.stage_dealloc pcc ~vcpu:0 ~cls (Option.get staged.Rseq.value)
-  in
-  check_bool "dealloc stages a hit" true back.Rseq.value;
-  check_int "staged dealloc pushes nothing" (used - size)
-    (Per_cpu_cache.used_bytes pcc ~vcpu:0);
-  back.Rseq.commit ();
-  check_int "committed dealloc restores" used (Per_cpu_cache.used_bytes pcc ~vcpu:0)
+  let used () = Per_cpu_cache.used_bytes pcc ~vcpu:0 in
+  check_int "fill accepted both" 2
+    (Per_cpu_cache.fill_from pcc ~vcpu:0 ~cls ~buf:[| 0x1000; 0x2000 |] ~lo:0 ~hi:2);
+  let full = used () in
+  check_int "both cached" (2 * size) full;
+  let a = Per_cpu_cache.prepare_alloc pcc ~vcpu:0 ~cls in
+  check_int "staging pops nothing" full (used ());
+  check_int "staging is repeatable" a (Per_cpu_cache.prepare_alloc pcc ~vcpu:0 ~cls);
+  let out = Array.make 3 0 in
+  check_int "flush preview sees both" 2
+    (Per_cpu_cache.prepare_flush pcc ~vcpu:0 ~cls ~n:2 ~buf:out ~pos:1);
+  check_int "flush preview removes nothing" full (used ());
+  check_bool "flush preview writes nothing" true (out = [| 0; 0; 0 |]);
+  (* A restart overwrites the staged op: only the last one commits. *)
+  ignore (Per_cpu_cache.prepare_alloc pcc ~vcpu:0 ~cls);
+  Per_cpu_cache.commit_staged pcc;
+  check_int "commit pops one" (full - size) (used ());
+  check_bool "dealloc stages a hit" true (Per_cpu_cache.prepare_dealloc pcc ~vcpu:0 ~cls a);
+  check_int "staged dealloc pushes nothing" (full - size) (used ());
+  Per_cpu_cache.commit_staged pcc;
+  check_int "committed dealloc restores" full (used ());
+  (* Staged batch ops commit exactly what they previewed. *)
+  let refill = [| 0; 0x3000; 0x4000 |] in
+  check_int "fill preview accepts both" 2
+    (Per_cpu_cache.prepare_fill pcc ~vcpu:0 ~cls ~buf:refill ~lo:1 ~hi:3);
+  check_int "fill preview caches nothing" full (used ());
+  Per_cpu_cache.commit_staged pcc;
+  check_int "committed fill caches both" (full + (2 * size)) (used ());
+  check_int "flush preview" 2
+    (Per_cpu_cache.prepare_flush pcc ~vcpu:0 ~cls ~n:2 ~buf:out ~pos:1);
+  Per_cpu_cache.commit_staged pcc;
+  check_int "committed flush pops both" full (used ());
+  check_bool "flushed most recent first" true (out = [| 0; 0x4000; 0x3000 |])
 
 (* {1 Exhaustive per-step preemption of malloc/free} *)
 

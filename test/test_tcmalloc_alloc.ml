@@ -47,10 +47,12 @@ let test_pcc_capacity_bound () =
 
 let test_pcc_fill_and_flush () =
   let pcc = Per_cpu_cache.create () in
-  let rejected = Per_cpu_cache.fill pcc ~vcpu:0 ~cls:0 ~addrs:[ 1; 2; 3; 4 ] in
-  check_int "all fit" 0 (List.length rejected);
-  let batch = Per_cpu_cache.flush_batch pcc ~vcpu:0 ~cls:0 ~n:3 in
-  check_int "flushed three" 3 (List.length batch);
+  check_int "all fit" 4
+    (Per_cpu_cache.fill_from pcc ~vcpu:0 ~cls:0 ~buf:[| 1; 2; 3; 4 |] ~lo:0 ~hi:4);
+  let batch = Array.make 3 0 in
+  check_int "flushed three" 3
+    (Per_cpu_cache.flush_batch_into pcc ~vcpu:0 ~cls:0 ~n:3 ~buf:batch ~pos:0);
+  check_bool "most recent first" true (batch = [| 4; 3; 2 |]);
   check_int "one left" 8 (Per_cpu_cache.used_bytes pcc ~vcpu:0)
 
 let test_pcc_resize_moves_capacity () =
@@ -91,8 +93,8 @@ let test_pcc_resize_evicts_large_classes_first () =
   (* vcpu1 holds one big object and some small ones; shrinking must evict
      the big class first. *)
   let big_cls = Size_class.count - 1 in
-  ignore (Per_cpu_cache.fill pcc ~vcpu:1 ~cls:big_cls ~addrs:[ 1000 ]);
-  ignore (Per_cpu_cache.fill pcc ~vcpu:1 ~cls:0 ~addrs:[ 1; 2; 3 ]);
+  ignore (Per_cpu_cache.fill_from pcc ~vcpu:1 ~cls:big_cls ~buf:[| 1000 |] ~lo:0 ~hi:1);
+  ignore (Per_cpu_cache.fill_from pcc ~vcpu:1 ~cls:0 ~buf:[| 1; 2; 3 |] ~lo:0 ~hi:3);
   for _ = 1 to 10 do
     ignore (Per_cpu_cache.alloc pcc ~vcpu:0 ~cls:0)
   done;
@@ -189,29 +191,35 @@ let test_cfl_span_stats_events () =
 
 (* {1 Transfer_cache} *)
 
+(* Fetch [n] objects: the batch and the removal counters. *)
+let tc_remove tc ~cls ~n ~domain ~now =
+  let buf = Array.make n 0 and stats = Transfer_cache.make_remove_stats () in
+  Transfer_cache.remove_into tc ~cls ~n ~domain ~now ~buf ~stats;
+  (Array.sub buf 0 stats.Transfer_cache.rs_count, stats)
+
 let test_tc_insert_remove_legacy () =
   let _, _, cfl = make_stack () in
   let tc = Transfer_cache.create ~topology:topo_uni cfl in
   check_int "no overflow" 0 (Transfer_cache.insert tc ~cls:0 ~addrs:[ 11; 22 ] ~domain:0 ~now:0.0);
-  let r = Transfer_cache.remove tc ~cls:0 ~n:2 ~domain:0 ~now:0.0 in
-  check_int "both from tc" 2 (List.length r.Transfer_cache.addrs);
-  check_int "no cfl" 0 r.Transfer_cache.from_cfl;
-  check_int "local (same domain)" 2 r.Transfer_cache.local_reuse
+  let addrs, r = tc_remove tc ~cls:0 ~n:2 ~domain:0 ~now:0.0 in
+  check_int "both from tc" 2 (Array.length addrs);
+  check_int "no cfl" 0 r.Transfer_cache.rs_from_cfl;
+  check_int "local (same domain)" 2 r.Transfer_cache.rs_local
 
 let test_tc_falls_through_to_cfl () =
   let _, _, cfl = make_stack () in
   let tc = Transfer_cache.create ~topology:topo_uni cfl in
-  let r = Transfer_cache.remove tc ~cls:0 ~n:5 ~domain:0 ~now:0.0 in
-  check_int "all from cfl" 5 r.Transfer_cache.from_cfl;
-  check_int "five objects" 5 (List.length r.Transfer_cache.addrs)
+  let addrs, r = tc_remove tc ~cls:0 ~n:5 ~domain:0 ~now:0.0 in
+  check_int "all from cfl" 5 r.Transfer_cache.rs_from_cfl;
+  check_int "five objects" 5 (Array.length addrs)
 
 let test_tc_legacy_cross_domain_is_remote () =
   let _, _, cfl = make_stack () in
   let tc = Transfer_cache.create ~topology:topo_chiplet cfl in
   ignore (Transfer_cache.insert tc ~cls:0 ~addrs:[ 1; 2; 3 ] ~domain:0 ~now:0.0);
-  let r = Transfer_cache.remove tc ~cls:0 ~n:3 ~domain:5 ~now:0.0 in
-  check_int "remote reuse seen" 3 r.Transfer_cache.remote_reuse;
-  check_int "no local" 0 r.Transfer_cache.local_reuse
+  let _, r = tc_remove tc ~cls:0 ~n:3 ~domain:5 ~now:0.0 in
+  check_int "remote reuse seen" 3 r.Transfer_cache.rs_remote;
+  check_int "no local" 0 r.Transfer_cache.rs_local
 
 let nuca_config = Config.with_nuca_transfer_cache true Config.baseline
 
@@ -221,9 +229,9 @@ let test_tc_nuca_prefers_local () =
   check_int "16 shards" 16 (Transfer_cache.shard_count tc);
   ignore (Transfer_cache.insert tc ~cls:0 ~addrs:[ 1; 2 ] ~domain:3 ~now:0.0);
   ignore (Transfer_cache.insert tc ~cls:0 ~addrs:[ 3; 4 ] ~domain:7 ~now:0.0);
-  let r = Transfer_cache.remove tc ~cls:0 ~n:2 ~domain:3 ~now:0.0 in
-  check_int "local reuse" 2 r.Transfer_cache.local_reuse;
-  check_int "no remote" 0 r.Transfer_cache.remote_reuse
+  let _, r = tc_remove tc ~cls:0 ~n:2 ~domain:3 ~now:0.0 in
+  check_int "local reuse" 2 r.Transfer_cache.rs_local;
+  check_int "no remote" 0 r.Transfer_cache.rs_remote
 
 let test_tc_nuca_release_tick_moves_to_central () =
   let _, _, cfl = make_stack ~config:nuca_config () in
@@ -235,9 +243,9 @@ let test_tc_nuca_release_tick_moves_to_central () =
   Transfer_cache.release_tick tc ~now:2.0;
   (* A consumer in another domain now sees drained objects as remote
      (instead of falling to the CFL). *)
-  let r = Transfer_cache.remove tc ~cls:0 ~n:2 ~domain:9 ~now:2.0 in
-  check_int "remote from central" 2 r.Transfer_cache.remote_reuse;
-  check_int "nothing from cfl" 0 r.Transfer_cache.from_cfl
+  let _, r = tc_remove tc ~cls:0 ~n:2 ~domain:9 ~now:2.0 in
+  check_int "remote from central" 2 r.Transfer_cache.rs_remote;
+  check_int "nothing from cfl" 0 r.Transfer_cache.rs_from_cfl
 
 let test_tc_overflow_to_cfl () =
   let small_tc_config = { Config.baseline with Config.transfer_cache_bytes_per_class = 1 } in
