@@ -1902,7 +1902,9 @@ let arena_bench () =
       else None
     in
     match committed with
-    | None -> note "no committed %s; skipping the determinism gate." arena_json
+    | None ->
+      Printf.eprintf "arena: committed baseline %s not found\n" arena_json;
+      exit 1
     | Some text -> (
       match Arena.check_committed ~committed:text report with
       | [] -> note "all deterministic cells match committed %s" arena_json

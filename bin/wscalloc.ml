@@ -1086,7 +1086,7 @@ let backend_list_arg =
   in
   Arg.conv (parse, print)
 
-let arena backends seed jobs smoke committed json_out =
+let arena backends seed jobs json_out =
   apply_jobs jobs;
   Printf.printf "arena: %s, seed %d...\n%!"
     (String.concat " vs " (List.map Config.backend_name backends))
@@ -1111,23 +1111,6 @@ let arena backends seed jobs smoke committed json_out =
         (Config.backend_name c.Arena.cell_backend)
         (Arena.scenario_name c.Arena.cell_scenario))
     dead;
-  if smoke then begin
-    let committed_text =
-      match open_in_bin committed with
-      | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      | exception Sys_error msg ->
-        Printf.eprintf "wscalloc: arena: cannot read committed baseline: %s\n" msg;
-        exit 1
-    in
-    match Arena.check_committed ~committed:committed_text report with
-    | [] -> Printf.printf "arena smoke: all deterministic cells match %s\n" committed
-    | msgs ->
-      List.iter (fun m -> Printf.eprintf "wscalloc: arena: %s\n" m) msgs;
-      exit 1
-  end;
   if dead <> [] then exit 1
 
 let arena_cmd =
@@ -1140,22 +1123,6 @@ let arena_cmd =
             "Comma-separated backends to race (default all: \
              $(b,tcmalloc,rpmalloc,jemalloc)).")
   in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Gate mode: re-run the pinned arena workloads and require every \
-             deterministic cell metric to match the committed baseline exactly; \
-             exit 1 on any drift.")
-  in
-  let committed =
-    Arg.(
-      value
-      & opt string "BENCH_arena.json"
-      & info [ "committed" ] ~docv:"FILE"
-          ~doc:"Committed baseline JSON for $(b,--smoke) (default BENCH_arena.json).")
-  in
   let json_out =
     Arg.(
       value
@@ -1167,8 +1134,8 @@ let arena_cmd =
       value & opt int 42
       & info [ "seed" ] ~docv:"SEED"
           ~doc:
-            "Arena seed (default 42, the committed-baseline seed: $(b,--smoke) \
-             only matches BENCH_arena.json at the seed it was generated with).")
+            "Arena seed (default 42, the seed BENCH_arena.json was generated \
+             with; $(b,bench arena --smoke) gates against that file).")
   in
   Cmd.v
     (Cmd.info "arena"
@@ -1177,7 +1144,7 @@ let arena_cmd =
           workload-zoo machine, a cross-CPU producer/consumer flood, Fig. 7 \
           size-mix churn, and memory-pressure survival, reporting per-backend \
           RSS, throughput and fragmentation.")
-    Term.(const arena $ backends $ seed $ jobs_term $ smoke $ committed $ json_out)
+    Term.(const arena $ backends $ seed $ jobs_term $ json_out)
 
 (* tune: deterministic config search over trace replay *)
 

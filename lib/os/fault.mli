@@ -121,9 +121,10 @@ val chaos_event : chaos -> machine:int -> attempt:int -> chaos_event option
     Durable-artifact fault injection: bit rot, torn writes, truncations and
     rename failures applied to the bytes {!Wsc_trace.Writer} and
     [Wsc_persist.Persist] put on disk.  Every decision is a pure function of
-    (seed, path, op index) — the op index counts IO operations per path — so
-    a corruption scenario observed once can be replayed exactly in a test or
-    bench.  The schedules are consumed by {!Storage}, the IO shim the
+    (seed, file name, op index) — the file name is the path's basename, so
+    the directory a file lands in does not matter, and the op index counts
+    IO operations per path — so a corruption scenario observed once can be
+    replayed exactly in a test or bench.  The schedules are consumed by {!Storage}, the IO shim the
     writers thread their bytes through. *)
 
 type storage = {

@@ -57,7 +57,10 @@ let test_fault_schedule_pure () =
   let d3 = Fault.write_damage c ~path:"a/b.wtrace" ~op_index:4 ~len:100_000 in
   let d4 = Fault.write_damage c ~path:"other.wtrace" ~op_index:3 ~len:100_000 in
   check_bool "op index changes the draw" true (d1 <> d3);
-  check_bool "path changes the draw" true (d1 <> d4);
+  check_bool "file name changes the draw" true (d1 <> d4);
+  let d5 = Fault.write_damage c ~path:"/tmp/run-1/b.wtrace" ~op_index:3 ~len:100_000 in
+  let d6 = Fault.write_damage c ~path:"/var/tmp/run-2/b.wtrace" ~op_index:3 ~len:100_000 in
+  check_bool "same name under two directories => same damage" true (d5 = d6 && d5 = d1);
   check_bool "flips drawn at 1% over 100k bytes" true (d1.Fault.flips <> []);
   List.iter
     (fun (off, bit) ->
