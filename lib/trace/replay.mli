@@ -64,10 +64,12 @@ val preload : string -> Wsc_workload.Trace.event array
 val run_preloaded :
   ?config:Wsc_tcmalloc.Config.t ->
   ?topology:Wsc_hw.Topology.t ->
+  ?inspect:(Wsc_backend.Backend.t -> unit) ->
   Wsc_workload.Trace.event array ->
   result
 (** Replay a preloaded event array.  Bit-identical to {!run_file} on the
-    file the array was preloaded from. *)
+    file the array was preloaded from.  [inspect] sees the replayed
+    allocator once the last event has run (audits, VM and tier counters). *)
 
 val run_configs_preloaded :
   ?jobs:int ->

@@ -8,7 +8,8 @@
    Cases: one two-job machine, a 6-machine fleet, raw distribution
    streams, a drained driver's counters, the three `bench rseq` arms
    (shortened), a high-preemption rseq machine, a two-job rseq machine
-   with faults, and an 8-machine fleet at one and two domains. *)
+   with faults, an 8-machine fleet at one and two domains, and a recorded
+   tensorflow stream replayed on each backend. *)
 
 open Wsc_substrate
 module Machine = Wsc_fleet.Machine
@@ -22,6 +23,13 @@ module Telemetry = Wsc_tcmalloc.Telemetry
 module Config = Wsc_tcmalloc.Config
 module Rseq = Wsc_os.Rseq
 module Fault = Wsc_os.Fault
+module Vm = Wsc_os.Vm
+module Audit = Wsc_tcmalloc.Audit
+module Malloc = Wsc_tcmalloc.Malloc
+module Cost_model = Wsc_hw.Cost_model
+module Recorder = Wsc_trace.Recorder
+module Replay = Wsc_trace.Replay
+module Writer = Wsc_trace.Writer
 
 let expected =
   [
@@ -35,6 +43,9 @@ let expected =
     ("rseq-preempt-0.3", "ac7b26a63d27eea85e5929b2619a5274");
     ("rseq-two-job-faults", "0014a7e9e577554c81f9bd800c733543");
     ("fleet8", "b164d7f245888dec7f8a2987a47fd819");
+    ("replay-tcmalloc", "a1ba43d30577b4786b3989e4a57ba842");
+    ("replay-rpmalloc", "dd1eb378cc7503adea65faa8c500238c");
+    ("replay-jemalloc", "53d7943a9327f2d0335a7f3bc55e9113");
   ]
 
 let check name payload =
@@ -151,6 +162,61 @@ let test_fleet8 ~jobs () =
   let f = Fleet.create ~seed:7 ~num_machines:8 () in
   check "fleet8" (digests (Fleet.run f ~jobs ~duration_ns:(0.5 *. Units.sec) ~epoch_ns:Units.ms))
 
+(* A 10 s tensorflow stream recorded through Driver + Recorder, shared by
+   the three replay cases. *)
+let tensorflow_stream =
+  lazy
+    (let path = Filename.temp_file "wsc_golden" ".wtrace" in
+     Fun.protect
+       ~finally:(fun () -> Sys.remove path)
+       (fun () ->
+         Writer.with_file path (fun writer ->
+             ignore
+               (Recorder.record_app ~seed:11 ~duration_ns:(10.0 *. Units.sec) ~writer
+                  Apps.tensorflow));
+         Replay.preload path))
+
+(* The replay result, then the replayed allocator's audit violations,
+   tier hits and VM call counts. *)
+let test_replay kind () =
+  let events = Lazy.force tensorflow_stream in
+  let after = ref [] in
+  let inspect backend =
+    let tel = Backend.telemetry backend and vm = Backend.vm backend in
+    let violations =
+      List.map
+        (fun v -> Printf.sprintf "violation %s: %s" v.Audit.check v.Audit.detail)
+        (Backend.audit backend).Audit.violations
+    in
+    let hits =
+      List.map
+        (fun tier ->
+          Printf.sprintf "hits %s %d" (Cost_model.tier_name tier) (Telemetry.hits tel tier))
+        Cost_model.all_tiers
+    in
+    let calls =
+      Printf.sprintf "vm mmap %d munmap %d subrelease %d reclaim %d" (Vm.mmap_calls vm)
+        (Vm.munmap_calls vm) (Vm.subrelease_calls vm) (Vm.reclaim_calls vm)
+    in
+    after := violations @ hits @ [ calls ]
+  in
+  let r =
+    Replay.run_preloaded ~config:(Config.with_backend kind Config.baseline) ~inspect events
+  in
+  let s = r.Replay.final_stats in
+  let result =
+    Printf.sprintf
+      "allocations %d frees %d retires %d peak_rss %d malloc_ns %h\n\
+       stats %d %d %d %d %d %d %d %d %d"
+      r.Replay.allocations r.Replay.frees r.Replay.retires r.Replay.peak_rss_bytes
+      r.Replay.malloc_ns s.Malloc.live_requested_bytes s.Malloc.live_rounded_bytes
+      s.Malloc.front_end_cached_bytes s.Malloc.transfer_cached_bytes
+      s.Malloc.cfl_fragmented_bytes s.Malloc.pageheap_fragmented_bytes
+      s.Malloc.internal_fragmentation_bytes s.Malloc.external_fragmentation_bytes
+      s.Malloc.resident_bytes
+  in
+  check ("replay-" ^ Backend.kind_name kind) (String.concat "\n" (result :: !after))
+
 let suite =
   [
     ( "golden",
@@ -173,5 +239,11 @@ let suite =
           test_rseq_two_job_faults;
         Alcotest.test_case "8-machine fleet, jobs 1" `Quick (test_fleet8 ~jobs:1);
         Alcotest.test_case "8-machine fleet, jobs 2" `Quick (test_fleet8 ~jobs:2);
+        Alcotest.test_case "tensorflow replay, tcmalloc" `Quick
+          (test_replay Backend.Tcmalloc);
+        Alcotest.test_case "tensorflow replay, rpmalloc" `Quick
+          (test_replay Backend.Rpmalloc);
+        Alcotest.test_case "tensorflow replay, jemalloc" `Quick
+          (test_replay Backend.Jemalloc);
       ] );
   ]
