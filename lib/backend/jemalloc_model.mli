@@ -36,3 +36,20 @@ val config : t -> Wsc_tcmalloc.Config.t
 val topology : t -> Wsc_hw.Topology.t
 val clock : t -> Wsc_substrate.Clock.t
 val audit : t -> Wsc_tcmalloc.Audit.report
+
+(** {2 Extent tier}
+
+    One arena's free-extent index, exposed for the differential and
+    allocation-budget tests.  [insert_extent] coalesces with address
+    neighbours of the same chunk and munmaps a chunk that becomes whole;
+    [mmap_chunk] adds a fresh chunk without coalescing. *)
+
+type arena
+type chunk
+
+val arena : t -> int -> arena
+val chunk_base : chunk -> addr
+val chunk_pages : chunk -> int
+val mmap_chunk : t -> arena -> pages:int -> chunk
+val alloc_extent : t -> arena -> pages:int -> (addr * chunk) option
+val insert_extent : t -> arena -> base:addr -> pages:int -> chunk:chunk -> unit

@@ -24,8 +24,9 @@ type hugepage = {
 
 type t = {
   hugepages : (addr, hugepage) Hashtbl.t;
-  (* buckets.(kind).(free_count) = hugepage bases with that many free pages *)
-  buckets : (addr, unit) Hashtbl.t array array;
+  (* buckets.(kind).(free_count) = hugepages with that many free pages,
+     keyed by base *)
+  buckets : (addr, hugepage) Hashtbl.t array array;
   mutable used_pages : int;
   mutable free_pages : int;
   mutable released_pages : int;
@@ -43,7 +44,7 @@ let create () =
 
 let bucket_of t hp = t.buckets.(kind_slot hp.kind).(hp.free_count)
 let bucket_remove t hp = Hashtbl.remove (bucket_of t hp) hp.base
-let bucket_insert t hp = Hashtbl.replace (bucket_of t hp) hp.base ()
+let bucket_insert t hp = Hashtbl.replace (bucket_of t hp) hp.base hp
 
 let hugepage_of_addr t a =
   match Hashtbl.find_opt t.hugepages (a - (a mod hugepage_size)) with
@@ -76,14 +77,16 @@ let add_hugepage t ~base ~kind ~donated:_ ~t_used =
 
 (* First free run of length [n] in the hugepage, or -1. *)
 let find_run hp n =
-  let rec scan i run_start run_len =
-    if run_len = n then run_start
-    else if i = pages_per_hugepage then -1
-    else if Bytes.get hp.page_state i = st_free then
-      scan (i + 1) (if run_len = 0 then i else run_start) (run_len + 1)
-    else scan (i + 1) 0 0
-  in
-  scan 0 0 0
+  let start = ref 0 and len = ref 0 and i = ref 0 in
+  while !len < n && !i < pages_per_hugepage do
+    if Bytes.get hp.page_state !i = st_free then begin
+      if !len = 0 then start := !i;
+      incr len
+    end
+    else len := 0;
+    incr i
+  done;
+  if !len = n then !start else -1
 
 let mark hp first n state delta_used delta_free =
   for i = first to first + n - 1 do
@@ -95,23 +98,27 @@ let mark hp first n state delta_used delta_free =
 let allocate t ~kind ~pages =
   if pages <= 0 || pages >= pages_per_hugepage then
     invalid_arg "Hugepage_filler.allocate: pages must be in (0, 256)";
-  let slot = kind_slot kind in
-  (* Densest-first: scan buckets from the fewest free pages able to fit. *)
+  let buckets = t.buckets.(kind_slot kind) in
+  (* Densest-first: scan buckets from the fewest free pages able to fit,
+     skipping empty ones (a cold filler has hardly any non-empty bucket);
+     within a bucket, the first hugepage in table order with a long
+     enough free run wins. *)
   let found = ref None in
   let f = ref pages in
-  while !found = None && !f <= pages_per_hugepage do
-    let bucket = t.buckets.(slot).(!f) in
-    (try
-       Hashtbl.iter
-         (fun base () ->
-           let hp = Hashtbl.find t.hugepages base in
-           let run = find_run hp pages in
-           if run >= 0 then begin
-             found := Some (hp, run);
-             raise Exit
-           end)
-         bucket
-     with Exit -> ());
+  while Option.is_none !found && !f <= pages_per_hugepage do
+    let bucket = buckets.(!f) in
+    if Hashtbl.length bucket > 0 then begin
+      try
+        Hashtbl.iter
+          (fun _ hp ->
+            let run = find_run hp pages in
+            if run >= 0 then begin
+              found := Some (hp, run);
+              raise_notrace Exit
+            end)
+          bucket
+      with Exit -> ()
+    end;
     incr f
   done;
   match !found with
@@ -160,11 +167,10 @@ let subrelease t vm ~max_pages =
     for slot = 0 to 1 do
       if !released < max_pages then begin
         let bucket = t.buckets.(slot).(!f) in
-        let bases = Hashtbl.fold (fun base () acc -> base :: acc) bucket [] in
+        let hps = Hashtbl.fold (fun _ hp acc -> hp :: acc) bucket [] in
         List.iter
-          (fun base ->
+          (fun hp ->
             if !released < max_pages then begin
-              let hp = Hashtbl.find t.hugepages base in
               let want = min hp.free_count (max_pages - !released) in
               if want > 0 then begin
                 bucket_remove t hp;
@@ -186,7 +192,7 @@ let subrelease t vm ~max_pages =
                 released := !released + want
               end
             end)
-          bases
+          hps
       end
     done;
     decr f

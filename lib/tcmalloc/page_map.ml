@@ -65,37 +65,48 @@ let register t span =
       s
   in
   t.slots.(slot) <- Some span;
+  (* One leaf lookup per leaf the span touches, not per page. *)
   let first = span.Span.base / page_size in
-  for page = first to first + span.Span.pages - 1 do
-    let leaf = leaf_of t (page lsr leaf_bits) in
-    if Bigarray.Array1.get leaf (page land leaf_mask) <> 0 then
-      invalid_arg "Page_map.register: page already owned";
-    Bigarray.Array1.set leaf (page land leaf_mask) (slot + 1)
+  let stop = first + span.Span.pages in
+  let page = ref first in
+  while !page < stop do
+    let hi = !page lsr leaf_bits in
+    let leaf = leaf_of t hi in
+    let seg_stop = min stop ((hi + 1) lsl leaf_bits) in
+    for i = !page land leaf_mask to ((seg_stop - 1) land leaf_mask) do
+      if Bigarray.Array1.get leaf i <> 0 then
+        invalid_arg "Page_map.register: page already owned";
+      Bigarray.Array1.set leaf i (slot + 1)
+    done;
+    page := seg_stop
   done;
   t.spans <- t.spans + 1
 
 let unregister t span =
   let first = span.Span.base / page_size in
+  let stop = first + span.Span.pages in
   let slot = ref (-1) in
-  for page = first to first + span.Span.pages - 1 do
-    let hi = page lsr leaf_bits in
-    let leaf =
-      if hi >= Array.length t.root then None else t.root.(hi)
-    in
-    match leaf with
+  let page = ref first in
+  while !page < stop do
+    let hi = !page lsr leaf_bits in
+    match if hi >= Array.length t.root then None else t.root.(hi) with
     | None -> invalid_arg "Page_map.unregister: page not owned by span"
     | Some leaf ->
-      let v = Bigarray.Array1.get leaf (page land leaf_mask) in
-      let matches =
-        v <> 0
-        &&
-        match t.slots.(v - 1) with
-        | Some owner -> owner.Span.id = span.Span.id
-        | None -> false
-      in
-      if not matches then invalid_arg "Page_map.unregister: page not owned by span";
-      Bigarray.Array1.set leaf (page land leaf_mask) 0;
-      slot := v - 1
+      let seg_stop = min stop ((hi + 1) lsl leaf_bits) in
+      for i = !page land leaf_mask to ((seg_stop - 1) land leaf_mask) do
+        let v = Bigarray.Array1.get leaf i in
+        let matches =
+          v <> 0
+          &&
+          match t.slots.(v - 1) with
+          | Some owner -> owner.Span.id = span.Span.id
+          | None -> false
+        in
+        if not matches then invalid_arg "Page_map.unregister: page not owned by span";
+        Bigarray.Array1.set leaf i 0;
+        slot := v - 1
+      done;
+      page := seg_stop
   done;
   if !slot >= 0 then begin
     t.slots.(!slot) <- None;

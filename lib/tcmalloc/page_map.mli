@@ -1,9 +1,9 @@
 (** The pagemap: object address -> owning span.
 
     [free(ptr)] must recover the span (and hence size class) of an arbitrary
-    address.  Real TCMalloc uses a radix tree over page numbers; the model
-    uses a hash table keyed by TCMalloc page index, registering every page
-    of a span when the pageheap carves it and unregistering on return. *)
+    address.  Like real TCMalloc, the model uses a two-level radix tree
+    over page numbers, registering every page of a span when the pageheap
+    carves it and unregistering on return. *)
 
 type t
 

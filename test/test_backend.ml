@@ -294,6 +294,186 @@ let test_snapshot_roundtrip kind () =
   List.iter (fun (a, s, c) -> Backend.free_th restored ~thread:(-1) ~cpu:c a ~size:s) addrs;
   check_bool "restored audit clean" true (Audit.is_clean (Backend.audit restored))
 
+(* {1 Extent arrays against the list model} *)
+
+(* The sorted-list extent tier the per-arena arrays replaced, kept as a
+   reference: [insert] rebuilds the list, coalesces every adjacent
+   same-chunk pair and unmaps every whole chunk; [alloc] is first-fit from
+   the lowest address. *)
+module Extent_list = struct
+  type x = { base : int; pages : int; chunk : Je.chunk }
+
+  let page = Je.page_size
+
+  let rec ins x = function
+    | [] -> [ x ]
+    | y :: rest when y.base < x.base -> y :: ins x rest
+    | rest -> x :: rest
+
+  let rec merge = function
+    | a :: b :: rest when a.chunk == b.chunk && a.base + (a.pages * page) = b.base ->
+      merge ({ a with pages = a.pages + b.pages } :: rest)
+    | a :: rest -> a :: merge rest
+    | [] -> []
+
+  let mmap xs chunk = ins { base = Je.chunk_base chunk; pages = Je.chunk_pages chunk; chunk } xs
+
+  let alloc xs ~pages =
+    let rec take acc = function
+      | [] -> None
+      | x :: rest when x.pages >= pages ->
+        let rem =
+          if x.pages > pages then [ { x with base = x.base + (pages * page); pages = x.pages - pages } ]
+          else []
+        in
+        Some ((x.base, x.chunk), List.rev_append acc (rem @ rest))
+      | x :: rest -> take (x :: acc) rest
+    in
+    take [] xs
+
+  (* The new list and the bases of the chunks to unmap, in order. *)
+  let insert xs ~base ~pages ~chunk =
+    let whole, kept =
+      List.partition
+        (fun x -> x.pages = Je.chunk_pages x.chunk)
+        (merge (ins { base; pages; chunk } xs))
+    in
+    (kept, List.map (fun x -> Je.chunk_base x.chunk) whole)
+
+  let bytes lists =
+    Array.fold_left (List.fold_left (fun a x -> a + (x.pages * page))) 0 lists
+end
+
+type extent_op = Take of int * int | Give of int
+
+let extent_op_gen =
+  let open QCheck.Gen in
+  let pages = frequency [ (8, int_range 1 8); (3, int_range 9 64); (1, int_range 400 1100) ] in
+  frequency
+    [
+      (3, map2 (fun a p -> Take (a, p)) (int_bound (Je.num_arenas - 1)) pages);
+      (2, map (fun k -> Give k) (int_bound 1_000_000));
+    ]
+
+let extent_op_print = function
+  | Take (a, p) -> Printf.sprintf "take(arena %d, %d pages)" a p
+  | Give k -> Printf.sprintf "give(%d)" k
+
+(* Random take/give sequences (a take that finds no fit maps a chunk and
+   retries, as the model's callers do), then a drain of everything still
+   held: the arrays and the list model must return the same bases and
+   chunks, unmap the same chunks operation by operation, and agree on the
+   free-extent byte counter throughout. *)
+let extent_differential_property =
+  QCheck.Test.make ~name:"je_extent_arrays_match_list_model" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map extent_op_print ops))
+       QCheck.Gen.(list_size (int_range 1 400) extent_op_gen))
+    (fun ops ->
+      let t = Je.create ~topology:Topology.default ~clock:(Clock.create ()) () in
+      let vm = Je.vm t in
+      let model = Array.make Je.num_arenas [] in
+      let held = ref [] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let ph () = (Je.heap_stats t).Malloc.pageheap_fragmented_bytes in
+      let take a pages =
+        let arena = Je.arena t a in
+        let rec go ~retried =
+          match (Je.alloc_extent t arena ~pages, Extent_list.alloc model.(a) ~pages) with
+          | None, None when not retried ->
+            model.(a) <- Extent_list.mmap model.(a) (Je.mmap_chunk t arena ~pages);
+            go ~retried:true
+          | Some (base, chunk), Some ((base', chunk'), xs) when base = base' && chunk == chunk' ->
+            model.(a) <- xs;
+            held := (a, base, pages, chunk) :: !held
+          | got, want ->
+            let show = function Some (b, _) -> Printf.sprintf "0x%x" b | None -> "none" in
+            fail "take %d pages: arrays %s, list %s" pages (show got)
+              (show (Option.map fst want))
+        in
+        go ~retried:false
+      in
+      let give k =
+        match !held with
+        | [] -> ()
+        | l ->
+          let ((a, base, pages, chunk) as h) = List.nth l (k mod List.length l) in
+          held := List.filter (fun h' -> h' != h) l;
+          let calls = Vm.munmap_calls vm in
+          Je.insert_extent t (Je.arena t a) ~base ~pages ~chunk;
+          let xs, unmapped = Extent_list.insert model.(a) ~base ~pages ~chunk in
+          model.(a) <- xs;
+          if Vm.munmap_calls vm - calls <> List.length unmapped
+             || List.exists (Vm.is_mapped vm) unmapped
+          then
+            fail "give 0x%x: arrays unmapped %d chunks, list [%s]" base
+              (Vm.munmap_calls vm - calls)
+              (String.concat "; " (List.map (Printf.sprintf "0x%x") unmapped))
+      in
+      let check what =
+        if ph () <> Extent_list.bytes model then
+          fail "%s: ph_bytes %d, list %d" what (ph ()) (Extent_list.bytes model)
+      in
+      List.iter
+        (fun op ->
+          (match op with Take (a, pages) -> take a pages | Give k -> give k);
+          check (extent_op_print op))
+        ops;
+      while !held <> [] do
+        give 0;
+        check "drain"
+      done;
+      Vm.mapped_bytes vm = 0 && ph () = 0)
+
+(* {1 Allocation budget of the page-level tiers} *)
+
+(* Steady-state loops over jemalloc's extent arrays (a fragmented arena
+   of ~100 free extents) and a cold hugepage filler (one tracked hugepage,
+   so a 1-page request passes ~250 empty buckets) must stay within a small
+   fixed number of minor words per call: the list rebuilds and per-bucket
+   closures they replaced cost hundreds. *)
+let test_page_tier_alloc_budget () =
+  let module Filler = Wsc_tcmalloc.Hugepage_filler in
+  let words_per_call ~calls f =
+    let w0 = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. w0) /. float_of_int calls
+  in
+  let t = Je.create ~topology:Topology.default ~clock:(Clock.create ()) () in
+  let arena = Je.arena t 0 in
+  let chunk = Je.mmap_chunk t arena ~pages:1 in
+  let runs =
+    List.init 200 (fun _ ->
+        match Je.alloc_extent t arena ~pages:1 with
+        | Some (base, _) -> base
+        | None -> Alcotest.fail "chunk exhausted")
+  in
+  List.iteri
+    (fun i base -> if i mod 2 = 0 then Je.insert_extent t arena ~base ~pages:1 ~chunk)
+    runs;
+  let rounds = 10_000 in
+  let je =
+    words_per_call ~calls:(2 * rounds) (fun () ->
+        for _ = 1 to rounds do
+          match Je.alloc_extent t arena ~pages:2 with
+          | Some (base, chunk) -> Je.insert_extent t arena ~base ~pages:2 ~chunk
+          | None -> Alcotest.fail "no 2-page fit"
+        done)
+  in
+  let f = Filler.create () in
+  Filler.add_hugepage f ~base:0 ~kind:Filler.Long_lived ~donated:false ~t_used:1;
+  let filler =
+    words_per_call ~calls:rounds (fun () ->
+        for _ = 1 to rounds do
+          match Filler.allocate f ~kind:Filler.Long_lived ~pages:1 with
+          | Some a -> ignore (Filler.free f a ~pages:1)
+          | None -> Alcotest.fail "filler allocation failed"
+        done)
+  in
+  if je > 8.0 then Alcotest.failf "jemalloc extent calls: %.1f minor words per call" je;
+  if filler > 40.0 then
+    Alcotest.failf "cold filler allocate+free: %.1f minor words per pair" filler
+
 let test_kind_names () =
   List.iter
     (fun kind ->
@@ -331,5 +511,7 @@ let suite =
         Alcotest.test_case "je_snapshot_roundtrip" `Quick
           (test_snapshot_roundtrip Config.Jemalloc);
         Alcotest.test_case "kind_names" `Quick test_kind_names;
+        qcheck extent_differential_property;
+        Alcotest.test_case "page_tier_alloc_budget" `Quick test_page_tier_alloc_budget;
       ] );
   ]
