@@ -293,6 +293,23 @@ let test_pageheap_free_busy_span_rejected () =
   Alcotest.check_raises "busy span" (Invalid_argument "Pageheap.free_span: span not idle")
     (fun () -> Pageheap.free_span ph span)
 
+let test_pageheap_free_unknown_span () =
+  let vm = Wsc_os.Vm.create () in
+  let ph = Pageheap.create vm in
+  let span, _ = Pageheap.new_small_span ph ~size_class:0 ~now:0.0 in
+  Pageheap.free_span ph span;
+  Alcotest.check_raises "freed twice" (Invalid_argument "Pageheap.free_span: unknown span")
+    (fun () -> Pageheap.free_span ph span);
+  let stranger = Span.create_small ~id:99 ~base:span.Span.base ~size_class:0 ~birth_time:0.0 in
+  Alcotest.check_raises "never registered"
+    (Invalid_argument "Pageheap.free_span: unknown span") (fun () ->
+      Pageheap.free_span ph stranger);
+  let live, _ = Pageheap.new_small_span ph ~size_class:0 ~now:0.0 in
+  let twin = Span.create_small ~id:98 ~base:live.Span.base ~size_class:0 ~birth_time:0.0 in
+  Alcotest.check_raises "another span owns the pages"
+    (Invalid_argument "Pageheap.free_span: unknown span") (fun () ->
+      Pageheap.free_span ph twin)
+
 let test_pageheap_large_routing () =
   let vm = Wsc_os.Vm.create () in
   let ph = Pageheap.create vm in
@@ -538,6 +555,7 @@ let suite =
         Alcotest.test_case "small span" `Quick test_pageheap_small_span;
         Alcotest.test_case "free unregisters" `Quick test_pageheap_free_span_unregisters;
         Alcotest.test_case "busy span rejected" `Quick test_pageheap_free_busy_span_rejected;
+        Alcotest.test_case "unknown span rejected" `Quick test_pageheap_free_unknown_span;
         Alcotest.test_case "large routing" `Quick test_pageheap_large_routing;
         Alcotest.test_case "donated slack reusable" `Quick test_pageheap_donated_slack_reusable;
         Alcotest.test_case "coverage starts full" `Quick test_pageheap_coverage_starts_full;

@@ -167,6 +167,89 @@ let test_span_invariant_property =
          Span.free_objects s + s.Span.outstanding = s.Span.capacity
          && List.length !held = s.Span.outstanding))
 
+(* Reference model of a small span's object order: every slot index is
+   pushed onto a stack up front, highest first, so pops carve from the
+   span base upwards and freed slots are reused last-in first-out. *)
+module Eager_span = struct
+  type t = {
+    base : int;
+    obj_size : int;
+    capacity : int;
+    stack : int Stack.t;
+    taken : bool array;
+    mutable outstanding : int;
+  }
+
+  let create ~base ~size_class =
+    let info = Size_class.info size_class in
+    let stack = Stack.create () in
+    for slot = info.Size_class.capacity - 1 downto 0 do
+      Stack.push slot stack
+    done;
+    {
+      base;
+      obj_size = info.Size_class.size;
+      capacity = info.Size_class.capacity;
+      stack;
+      taken = Array.make info.Size_class.capacity false;
+      outstanding = 0;
+    }
+
+  let free_objects t = t.capacity - t.outstanding
+
+  let pop t =
+    match Stack.pop_opt t.stack with
+    | None -> invalid_arg "Span.pop_object: exhausted"
+    | Some slot ->
+      t.taken.(slot) <- true;
+      t.outstanding <- t.outstanding + 1;
+      t.base + (slot * t.obj_size)
+
+  let push t a =
+    if a < t.base || a >= t.base + (t.capacity * t.obj_size) then
+      invalid_arg "Span.push_object: address outside span";
+    if (a - t.base) mod t.obj_size <> 0 then invalid_arg "Span.push_object: misaligned object";
+    let slot = (a - t.base) / t.obj_size in
+    if not t.taken.(slot) then invalid_arg "Span.push_object: double free";
+    t.taken.(slot) <- false;
+    Stack.push slot t.stack;
+    t.outstanding <- t.outstanding - 1
+end
+
+(* Random pop/push sequences, including pops past exhaustion and pushes of
+   already-free objects, give the same addresses, free counts and errors
+   on a real span as on the eager model. *)
+let test_span_matches_eager_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"span_matches_eager_prefilled_stack" ~count:300
+       QCheck.(pair (int_range 0 (Size_class.count - 1)) (list (pair (int_range 0 2) small_nat)))
+       (fun (cls, ops) ->
+         let base = 7 * hugepage in
+         let s = Span.create_small ~id:3 ~base ~size_class:cls ~birth_time:0.0 in
+         let m = Eager_span.create ~base ~size_class:cls in
+         let issued = ref [||] in
+         let outcome f = match f () with a -> Ok a | exception Invalid_argument e -> Error e in
+         List.for_all
+           (fun (op, k) ->
+             let real, model =
+               match op with
+               | 0 ->
+                 let r = outcome (fun () -> Span.pop_object s) in
+                 let e = outcome (fun () -> Eager_span.pop m) in
+                 (match r with Ok a -> issued := Array.append !issued [| a |] | Error _ -> ());
+                 (r, e)
+               | _ when Array.length !issued = 0 -> (Ok 0, Ok 0)
+               | _ ->
+                 (* Op 1 frees the newest issued address, op 2 an arbitrary
+                    one: either may already be free (a double free). *)
+                 let n = Array.length !issued in
+                 let a = if op = 1 then !issued.(n - 1) else !issued.(k mod n) in
+                 ( outcome (fun () -> Span.push_object s a; a),
+                   outcome (fun () -> Eager_span.push m a; a) )
+             in
+             real = model && Span.free_objects s = Eager_span.free_objects m)
+           ops))
+
 (* {1 Page_map} *)
 
 let test_page_map_register_lookup () =
@@ -603,6 +686,7 @@ let suite =
         Alcotest.test_case "large span" `Quick test_span_large;
         Alcotest.test_case "fragmented bytes" `Quick test_span_fragmented_bytes;
         test_span_invariant_property;
+        test_span_matches_eager_model;
       ] );
     ( "page_map",
       [

@@ -385,6 +385,19 @@ let test_record_replay_bit_identical () =
       check_bool "replayed heap state = recorded heap state" true
         (r.Replay.final_stats = recorded_stats))
 
+let test_replay_rejects_unknown_free () =
+  let unknown = Invalid_argument "Wsc_trace.Replay: free of unknown id" in
+  Alcotest.check_raises "never allocated" unknown (fun () ->
+      ignore (Replay.run_preloaded [| Trace.Free { id = 5; cpu = 0 } |]));
+  Alcotest.check_raises "freed twice" unknown (fun () ->
+      ignore
+        (Replay.run_preloaded
+           [|
+             Trace.Alloc { id = 5; size = 64; cpu = 0 };
+             Trace.Free { id = 5; cpu = 0 };
+             Trace.Free { id = 5; cpu = 0 };
+           |]))
+
 let test_multi_config_replay_deterministic () =
   with_temp (fun path ->
       Writer.with_file path (fun w ->
@@ -452,6 +465,7 @@ let suite =
           test_record_replay_bit_identical;
         Alcotest.test_case "multi-config deterministic" `Quick
           test_multi_config_replay_deterministic;
+        Alcotest.test_case "free of unknown id rejected" `Quick test_replay_rejects_unknown_free;
         Alcotest.test_case "analyzer one-pass" `Quick test_analyzer_streaming;
       ] );
   ]
