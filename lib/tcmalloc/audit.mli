@@ -9,8 +9,11 @@
       the per-CPU/transfer tiers, or free in its span;
     - {b cfl-accounting} — the central free list's fragmentation counter
       and span census match a direct heap walk;
-    - {b page-map-coverage} — every span page resolves back to its span,
-      and the span count matches the pageheap's placement table;
+    - {b page-map-coverage} — every span page resolves back to its span;
+    - {b cached-mark-census} — every address in the per-CPU/transfer
+      tiers is marked cached in its span's slot byte, and the number of
+      cached marks across all spans equals the number of cached
+      addresses;
     - {b span-disjointness} — no two spans overlap in the address space;
     - {b vm-backing} — every span page lies on a mapped hugepage;
     - {b vm-accounting} — the VM's O(1) resident/huge-backed aggregates

@@ -23,8 +23,10 @@ val create :
   unit ->
   t
 (** A fresh allocator instance (one simulated process).  When
-    [span_snapshot_interval_ns] is given, central-free-list span occupancy
-    is observed periodically into {!span_stats} (Figs. 13/16).
+    [span_snapshot_interval_ns] is given, span creations and releases are
+    recorded and central-free-list span occupancy is observed periodically
+    into {!span_stats} (Figs. 13/16); otherwise no span statistics are
+    kept.
 
     When [rseq] is given, every per-CPU fast-path operation runs under the
     restartable-sequence protocol: the injector may preempt it at any of
@@ -135,7 +137,10 @@ val live_fragmentation_ratio : t -> float
     the allocation-free form for per-epoch sampling loops. *)
 
 val telemetry : t -> Telemetry.t
-val span_stats : t -> Span_stats.t
+val span_stats : t -> Span_stats.t option
+(** [Some] exactly when the allocator was created with
+    [span_snapshot_interval_ns]. *)
+
 val per_cpu_caches : t -> Per_cpu_cache.t
 val transfer_cache : t -> Transfer_cache.t
 val central_free_list : t -> Central_free_list.t

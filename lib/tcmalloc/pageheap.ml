@@ -6,11 +6,6 @@ let pages_per_hugepage = Units.pages_per_hugepage
 let page_size = Units.tcmalloc_page_size
 let hugepage_size = Units.hugepage_size
 
-type placement =
-  | In_filler
-  | In_region
-  | In_cache of { run_base : addr; full_hugepages : int; tail_pages : int }
-
 type t = {
   config : Config.t;
   vm : Wsc_os.Vm.t;
@@ -18,7 +13,6 @@ type t = {
   region : Hugepage_region.t;
   cache : Hugepage_cache.t;
   page_map : Page_map.t;
-  placements : (int, placement) Hashtbl.t;
   mutable next_span_id : int;
   mutable cache_used_pages : int;  (* pages of large spans on whole hugepages *)
 }
@@ -31,7 +25,6 @@ let create ?(config = Config.baseline) vm =
     region = Hugepage_region.create vm ~hugepages_per_region:32;
     cache = Hugepage_cache.create vm;
     page_map = Page_map.create ();
-    placements = Hashtbl.create 1024;
     next_span_id = 0;
     cache_used_pages = 0;
   }
@@ -70,7 +63,6 @@ let new_small_span t ~size_class ~now =
   let base, mmaps = filler_allocate t ~kind ~pages:info.Size_class.pages in
   let span = Span.create_small ~id:(fresh_id t) ~base ~size_class ~birth_time:now in
   Page_map.register t.page_map span;
-  Hashtbl.replace t.placements span.Span.id In_filler;
   (span, mmaps)
 
 (* Large allocations "slightly exceeding" whole hugepages (Sec. 4.4, e.g.
@@ -81,19 +73,33 @@ let routes_to_region ~pages =
   let tail = pages mod pages_per_hugepage in
   tail > 0 && 2 * (pages_per_hugepage - tail) >= pages
 
+(* Where a span's pages came from.  Nothing is stored per span: the route
+   is a pure function of the page count, and a cache run starts at the
+   span's base. *)
+type placement =
+  | In_filler
+  | In_region
+  | In_cache of { run_base : addr; full : int; tail : int }
+
+let placement_of span =
+  let pages = span.Span.pages in
+  if pages < pages_per_hugepage then In_filler
+  else if routes_to_region ~pages then In_region
+  else
+    In_cache
+      { run_base = span.Span.base; full = pages / pages_per_hugepage; tail = pages mod pages_per_hugepage }
+
 let new_large_span t ~pages ~now =
   if pages <= 0 then invalid_arg "Pageheap.new_large_span: nonpositive pages";
   let id = fresh_id t in
-  let base, placement, mmaps =
+  let base, mmaps =
     if pages < pages_per_hugepage then begin
       (* One-object spans have capacity 1 < C: short-lived set when aware. *)
       let kind = filler_kind t ~capacity:1 in
-      let base, mmaps = filler_allocate t ~kind ~pages in
-      (base, In_filler, mmaps)
+      filler_allocate t ~kind ~pages
     end
     else begin
-      if routes_to_region ~pages then
-        (Hugepage_region.allocate t.region ~pages, In_region, 0)
+      if routes_to_region ~pages then (Hugepage_region.allocate t.region ~pages, 0)
       else begin
         let tail = pages mod pages_per_hugepage in
         let full = pages / pages_per_hugepage in
@@ -109,15 +115,12 @@ let new_large_span t ~pages ~now =
             ~kind:Hugepage_filler.Long_lived ~donated:true ~t_used:tail
         end;
         t.cache_used_pages <- t.cache_used_pages + (full * pages_per_hugepage);
-        ( run_base,
-          In_cache { run_base; full_hugepages = full; tail_pages = tail },
-          if grant.Hugepage_cache.fresh then 1 else 0 )
+        (run_base, if grant.Hugepage_cache.fresh then 1 else 0)
       end
     end
   in
   let span = Span.create_large ~id ~base ~pages ~birth_time:now in
   Page_map.register t.page_map span;
-  Hashtbl.replace t.placements span.Span.id placement;
   (span, mmaps)
 
 let free_via_filler t a ~pages =
@@ -127,24 +130,21 @@ let free_via_filler t a ~pages =
 
 let free_span t span =
   if not (Span.is_idle span) then invalid_arg "Pageheap.free_span: span not idle";
-  let placement =
-    match Hashtbl.find_opt t.placements span.Span.id with
-    | Some p -> p
-    | None -> invalid_arg "Pageheap.free_span: unknown span"
-  in
+  (match Page_map.lookup t.page_map span.Span.base with
+  | Some owner when owner == span -> ()
+  | Some _ | None -> invalid_arg "Pageheap.free_span: unknown span");
   Page_map.unregister t.page_map span;
-  Hashtbl.remove t.placements span.Span.id;
-  match placement with
+  match placement_of span with
   | In_filler -> free_via_filler t span.Span.base ~pages:span.Span.pages
   | In_region -> Hugepage_region.free t.region span.Span.base ~pages:span.Span.pages
-  | In_cache { run_base; full_hugepages; tail_pages } ->
-    if tail_pages > 0 then begin
-      let tail_base = run_base + (full_hugepages * hugepage_size) in
-      free_via_filler t tail_base ~pages:tail_pages
+  | In_cache { run_base; full; tail } ->
+    if tail > 0 then begin
+      let tail_base = run_base + (full * hugepage_size) in
+      free_via_filler t tail_base ~pages:tail
     end;
-    if full_hugepages > 0 then begin
-      Hugepage_cache.free t.cache run_base ~hugepages:full_hugepages;
-      t.cache_used_pages <- t.cache_used_pages - (full_hugepages * pages_per_hugepage)
+    if full > 0 then begin
+      Hugepage_cache.free t.cache run_base ~hugepages:full;
+      t.cache_used_pages <- t.cache_used_pages - (full * pages_per_hugepage)
     end
 
 let span_of_addr t a = Page_map.lookup t.page_map a
@@ -231,15 +231,13 @@ let hugepage_coverage t =
   in
   Hugepage_filler.iter_hugepages t.filler visit;
   Hugepage_region.iter_hugepages t.region visit;
-  Hashtbl.iter
-    (fun _ placement ->
-      match placement with
-      | In_cache { run_base; full_hugepages; _ } ->
-        for hp = 0 to full_hugepages - 1 do
+  Page_map.iter_spans t.page_map (fun span ->
+      match placement_of span with
+      | In_cache { run_base; full; _ } ->
+        for hp = 0 to full - 1 do
           visit ~base:(run_base + (hp * hugepage_size)) ~used_pages:pages_per_hugepage
         done
-      | In_filler | In_region -> ())
-    t.placements;
+      | In_filler | In_region -> ());
   if !total = 0 then 1.0 else float_of_int !covered /. float_of_int !total
 
-let spans_outstanding t = Hashtbl.length t.placements
+let spans_outstanding t = Page_map.span_count t.page_map

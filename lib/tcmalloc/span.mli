@@ -21,8 +21,19 @@ type t = private {
   obj_size : int;  (** Class object size; for large spans, the span bytes. *)
   capacity : int;  (** Objects per span; 1 for large spans. *)
   mutable outstanding : int;  (** Objects currently extracted from the span. *)
-  free_slots : Wsc_substrate.Int_stack.t;  (** Free object indices. *)
-  slot_taken : Bytes.t;  (** Per-slot occupancy, for double-free detection. *)
+  mutable carved : int;
+      (** Slots [0 .. carved-1] have been issued at least once; slots
+          [carved ..] are free and never issued.  Small spans carve
+          lazily, upwards from the base, only once [free_slots] is
+          empty. *)
+  free_slots : Wsc_substrate.Int_stack.t;
+      (** Indices of carved slots that came back, reissued last-in
+          first-out before any new slot is carved. *)
+  slot_taken : Bytes.t;
+      (** Per-slot state, for double-free detection: ['\000'] free in the
+          span, ['\001'] held by the application, ['\002'] cached in the
+          per-CPU or transfer tier.  Both non-free states count as
+          outstanding. *)
   mutable list_index : int;  (** Central-free-list bucket, -1 if not listed. *)
   birth_time : float;  (** Simulated creation time (for lifetime studies). *)
 }
@@ -69,6 +80,22 @@ val object_is_free : t -> addr -> bool
     span (i.e. pushing it again would be a double free).  For large spans,
     whether the whole span is idle.
     @raise Invalid_argument if the address is outside the span. *)
+
+val is_cached : t -> addr -> bool
+(** Whether the slot holding [addr] is marked cached in the per-CPU or
+    transfer tier.  [addr] must be an aligned object address of this small
+    span. *)
+
+val mark_cached : t -> addr -> unit
+(** Mark an outstanding object as cached in the per-CPU or transfer tier.
+    Same precondition as {!is_cached}. *)
+
+val mark_held : t -> addr -> unit
+(** Mark an outstanding object as held by the application.  Same
+    precondition as {!is_cached}. *)
+
+val cached_objects : t -> int
+(** Slots marked cached (0 for large spans); the heap auditor's census. *)
 
 val fragmented_bytes : t -> int
 (** Free object slots x object size — the external fragmentation this span

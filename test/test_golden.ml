@@ -217,8 +217,47 @@ let test_replay kind () =
   in
   check ("replay-" ^ Backend.kind_name kind) (String.concat "\n" (result :: !after))
 
+(* {1 Allocation budgets}
+
+   Minor words are deterministic for a given build, so these are exact
+   regression nets with headroom: a per-instance side table or an
+   OCaml-heap map per replayed object shows up here at once. *)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. before)
+
+let test_malloc_create_budget () =
+  let clock = Clock.create () in
+  let _, words =
+    minor_words_of (fun () -> Malloc.create ~topology:Topology.default ~clock ())
+  in
+  Printf.printf "Malloc.create: %.0f minor words\n" words;
+  if words > 8_000.0 then Alcotest.failf "Malloc.create: %.0f minor words (budget 8000)" words
+
+let test_replay_budget kind ~budget () =
+  let events = Lazy.force tensorflow_stream in
+  let config = Config.with_backend kind Config.baseline in
+  let _, words = minor_words_of (fun () -> Replay.run_preloaded ~config events) in
+  let per_op = words /. float_of_int (Array.length events) in
+  Printf.printf "%s: %.2f minor words per op\n" (Backend.kind_name kind) per_op;
+  if per_op > budget then
+    Alcotest.failf "%s replay: %.2f minor words per op (budget %.0f)" (Backend.kind_name kind)
+      per_op budget
+
 let suite =
   [
+    ( "alloc_budget",
+      [
+        Alcotest.test_case "Malloc.create" `Quick test_malloc_create_budget;
+        Alcotest.test_case "tensorflow replay, tcmalloc" `Quick
+          (test_replay_budget Backend.Tcmalloc ~budget:16.0);
+        Alcotest.test_case "tensorflow replay, rpmalloc" `Quick
+          (test_replay_budget Backend.Rpmalloc ~budget:15.0);
+        Alcotest.test_case "tensorflow replay, jemalloc" `Quick
+          (test_replay_budget Backend.Jemalloc ~budget:7.0);
+      ] );
     ( "golden",
       [
         Alcotest.test_case "two-job machine" `Quick test_machine;
