@@ -1,7 +1,7 @@
 (* Open-addressing int -> int hash table over unboxed Bigarray storage.
 
-   The simulator's hottest tables (the allocator's freed-address set, the
-   leak sampler's tracked-address set, the trace recorder's addr -> id map)
+   The simulator's hottest tables (the leak sampler's tracked-address set,
+   the trace recorder's addr -> id map, replay's id -> address map)
    are int-keyed, int-valued, and queried on every event.  [Hashtbl] costs
    a bucket-list allocation per [replace] and an option per [find_opt];
    this table allocates nothing on any operation except a (rare) resize.

@@ -33,8 +33,9 @@ val new_large_span : t -> pages:int -> now:float -> Span.t * int
 (** A span for one large allocation of [pages] TCMalloc pages. *)
 
 val free_span : t -> Span.t -> unit
-(** Return an idle span.  @raise Invalid_argument if the span still has
-    outstanding objects or is unknown. *)
+(** Return an idle span to the component its page count routes it to.
+    @raise Invalid_argument if the span still has outstanding objects or
+    is unknown (the page map does not resolve its base to it). *)
 
 val span_of_addr : t -> addr -> Span.t option
 (** Page-map lookup used by [free(ptr)]. *)
@@ -76,3 +77,4 @@ val hugepage_coverage : t -> float
     hugepages.  1.0 when nothing is in use. *)
 
 val spans_outstanding : t -> int
+(** Spans currently carved: {!Page_map.span_count} of the page map. *)
